@@ -8,8 +8,6 @@ simultaneous confidence regions for means and quantiles.
 """
 
 from .batch import (
-    BatchConfig,
-    adaptive_c,
     batch_means,
     bm_exact_bias_ar1,
     default_batch_size,
@@ -34,7 +32,7 @@ from .diagnostics import (
     region_volume,
 )
 from .initseq import InitSeqResult, adjacent_pair_sums, adjusted_initial_sequence, initial_sequence
-from .lrv import LrvEstimate, LugsailConfig, NotPositiveDefinite
+from .lrv import LrvEstimate, LugsailConfig, NotPositiveDefinite, adaptive_c
 from .quantiles import (
     JointEstimate,
     SimultaneousRegion,
@@ -57,8 +55,6 @@ from .spectral import (
     lugsail_spectral_variance,
     lugsail_window,
     spectral_variance,
-    window_smoothness,
-    window_value,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BARTLETT",
     "BARTLETT_FLATTOP",
-    "BatchConfig",
     "InitSeqResult",
     "JointEstimate",
     "LagCovariance",
@@ -117,6 +112,4 @@ __all__ = [
     "sample_covariance",
     "solve_z_star",
     "spectral_variance",
-    "window_smoothness",
-    "window_value",
 ]

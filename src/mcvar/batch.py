@@ -8,32 +8,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import SampleMatrix, mean_vector, sample_covariance
+from .chain import SampleMatrix, mean_vector
 from .lrv import LrvEstimate, LugsailConfig, symmetrize
-
-
-@dataclass(frozen=True)
-class BatchConfig:
-    """Batch size b and the implied number of complete batches a."""
-
-    b: int
-    a: int
-
-    def __post_init__(self):
-        if self.b < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.b}")
-        if self.a < 2:
-            raise ValueError(f"need at least 2 batches, got {self.a}")
-
-    @classmethod
-    def for_chain(cls, n: int, b: int) -> "BatchConfig":
-        if b < 1:
-            raise ValueError(f"batch size must be >= 1, got {b}")
-        return cls(b=b, a=n // b)
 
 
 def batch_means(chain: SampleMatrix, b: int) -> LrvEstimate:
@@ -43,8 +22,11 @@ def batch_means(chain: SampleMatrix, b: int) -> LrvEstimate:
     full-chain mean; scaled by b/(a-1).  With b=1 this is exactly the sample
     covariance.
     """
-    cfg = BatchConfig.for_chain(chain.n, b)
-    a = cfg.a
+    if b < 1:
+        raise ValueError(f"batch size must be >= 1, got {b}")
+    a = chain.n // b
+    if a < 2:
+        raise ValueError(f"need at least 2 batches, got {a}")
     means = chain.values[: a * b].reshape(a, b, chain.p).mean(axis=1)
     dev = means - mean_vector(chain)
     # multiply by b before dividing so that b=1 reduces bitwise to the
@@ -89,14 +71,6 @@ def lugsail_combine(big: LrvEstimate, small: LrvEstimate, c: float) -> LrvEstima
                        lugsail=LugsailConfig(r=r, c=c, regime="custom"))
 
 
-def adaptive_c(n: int, b: int) -> float:
-    """Sample-size dependent lugsail weight; decreases to 1/2 as n/b grows."""
-    if not 1 <= b < n:
-        raise ValueError(f"need 1 <= b < n, got b={b}, n={n}")
-    gap = math.log(n) - math.log(b)
-    return (gap + 1.0) / (2.0 * gap + 1.0)
-
-
 def lugsail_policy(rho: float) -> LugsailConfig:
     """Pick lugsail parameters from an estimated lag-1 autocorrelation.
 
@@ -107,10 +81,10 @@ def lugsail_policy(rho: float) -> LugsailConfig:
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"autocorrelation must lie in [-1, 1], got {rho}")
     if rho < 0.7:
-        return LugsailConfig(r=2.0, c=0.5, regime="zero")
+        return LugsailConfig.named("zero")
     if rho < 0.95:
-        return LugsailConfig(r=2.0, c=None, regime="adaptive")
-    return LugsailConfig(r=3.0, c=0.5, regime="over")
+        return LugsailConfig.named("adaptive")
+    return LugsailConfig.named("over")
 
 
 def lag1_autocorrelation(chain: SampleMatrix) -> float:
@@ -151,10 +125,8 @@ def default_batch_size(n: int, rule: str = "sqrt", r: float = 1.0) -> int:
 
 def _lugsail_of(base, chain: SampleMatrix, b: int, config: LugsailConfig) -> LrvEstimate:
     big = base(chain, b)
-    if config.regime == "none" or config.r == 1.0:
-        return big
     c = config.resolve_c(chain.n, b)
-    if c == 0.0:
+    if c == 0.0 or config.r == 1.0:
         return big
     b_small = int(b // config.r)
     if b_small < 1:
@@ -211,9 +183,6 @@ def lugsail_exact_bias_ar1(phi: float, n: int, b: int, r: float, c: float) -> fl
 
 
 __all__ = [
-    "BatchConfig",
-    "LugsailConfig",
-    "adaptive_c",
     "batch_means",
     "bm_exact_bias_ar1",
     "default_batch_size",
@@ -224,6 +193,4 @@ __all__ = [
     "lugsail_overlapping_batch_means",
     "lugsail_policy",
     "overlapping_batch_means",
-    "sample_covariance",
-    "mean_vector",
 ]

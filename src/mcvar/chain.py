@@ -19,8 +19,9 @@ from .lrv import symmetrize
 class SampleMatrix:
     """n x p matrix of chain output: rows are iterations, columns components.
 
-    The wrapped array is a read-only copy, so instances can be shared freely
-    across threads.  A 1-D input is treated as a single-component chain.
+    The wrapped array is a read-only copy, and so are the cached centering
+    and spectrum, so instances can be shared freely across threads.  A 1-D
+    input is treated as a single-component chain.
     """
 
     values: np.ndarray
@@ -53,7 +54,9 @@ class SampleMatrix:
 
     @cached_property
     def _centered(self) -> np.ndarray:
-        return self.values - self.values.mean(axis=0)
+        yc = self.values - self.values.mean(axis=0)
+        yc.setflags(write=False)
+        return yc
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, int]:
@@ -63,7 +66,9 @@ class SampleMatrix:
         linear for every lag up to n-1.
         """
         nfft = 1 << (2 * self.n - 1).bit_length()
-        return np.fft.rfft(self._centered, n=nfft, axis=0), nfft
+        spec = np.fft.rfft(self._centered, n=nfft, axis=0)
+        spec.setflags(write=False)
+        return spec, nfft
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ from .batch import lag1_autocorrelation
 from .chain import SampleMatrix, mean_vector
 from .diagnostics import NotPositiveDefinite, StoppingConfig, ess, fixed_volume_check, mcse, min_ess
 from .experiments import (
+    METHODS,
     MixtureConfig,
     ar1_chain_factory,
     ar1_truth,
@@ -33,6 +34,7 @@ from .experiments import (
     standard_grid,
     timing_bench,
 )
+from .lrv import REGIMES
 from .quantiles import TargetSpec, estimate_omega, solve_z_star
 
 EXIT_OK = 0
@@ -201,31 +203,25 @@ def emit_rows(rows: list[dict], out: str) -> None:
 
 
 def add_estimator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=["bm", "obm", "sv", "initseq"], default="bm")
+    parser.add_argument("--method", choices=METHODS, default="bm")
     parser.add_argument("--window", default=None,
                         help="lag window for --method sv (bartlett, bartlett-flattop, tukey-hanning, quadratic-spectral)")
-    parser.add_argument("--lugsail", choices=["none", "zero", "adaptive", "over", "custom"], default="none")
+    parser.add_argument("--lugsail", choices=[*REGIMES, "custom"], default="none")
     parser.add_argument("--r", type=float, default=None, help="lugsail ratio (only with --lugsail custom)")
     parser.add_argument("--c", type=float, default=None, help="lugsail weight (only with --lugsail custom)")
     parser.add_argument("--b", type=int, default=None, help="batch size / truncation point (default: floor(sqrt(n)))")
 
 
 def estimator_from_args(args) -> tuple:
-    """Validate flag combinations and build (estimator, metadata)."""
+    """Build (estimator, metadata); make_estimator validates the values, this
+    only refuses flags that the chosen method or regime would ignore."""
     if args.window is not None and args.method != "sv":
         raise UsageError("--window is only valid with --method sv")
     if (args.r is not None or args.c is not None) and args.lugsail != "custom":
         raise UsageError("--r/--c are only valid with --lugsail custom")
-    if args.lugsail == "custom" and (args.r is None or args.c is None):
-        raise UsageError("--lugsail custom needs both --r and --c")
-    if args.method == "initseq" and args.lugsail != "none":
-        raise UsageError("--lugsail cannot be combined with --method initseq")
     window = args.window or "bartlett"
-    try:
-        estimator = make_estimator(args.method, b=args.b, lugsail=args.lugsail,
-                                   r=args.r, c=args.c, window=window)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    estimator = make_estimator(args.method, b=args.b, lugsail=args.lugsail,
+                               r=args.r, c=args.c, window=window)
     meta = {"family": args.method, "lugsail": args.lugsail}
     if args.method == "sv":
         meta["window"] = window
@@ -468,11 +464,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"mcvar: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -186,37 +186,38 @@ def logistic_mh_generate(n_obs: int, p_coef: int, n: int,
     return SampleMatrix(out)
 
 
+#: Estimator families accepted by make_estimator and the command line.
+METHODS = ("bm", "obm", "sv", "initseq", "initseq-adj")
+
+
 def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
                    r: float | None = None, c: float | None = None,
                    window: str = "bartlett", batch_rule: str = "sqrt") -> Estimator:
     """Build a named estimator callable for studies and the command line.
 
-    method is bm / obm / sv / initseq / initseq-adj; lugsail is none / zero /
-    adaptive / over / custom (custom requires r and c).  b=None picks the
-    batch size (or truncation point) from batch_rule at call time.
+    method is one of METHODS; lugsail is a regime name in REGIMES or custom
+    (custom requires r and c).  b=None picks the batch size (or truncation
+    point) from batch_rule at call time.  The initial-sequence methods take
+    no lugsail adjustment and ignore b.
     """
-    if method not in ("bm", "obm", "sv", "initseq", "initseq-adj"):
+    if method not in METHODS:
         raise ValueError(f"unknown estimator method {method!r}")
     if method.startswith("initseq"):
         if lugsail != "none":
-            raise ValueError("initial-sequence estimators take no lugsail adjustment")
-        return initial_sequence_estimate if method == "initseq" else adjusted_initial_sequence_estimate
+            raise ValueError(f"{method} takes no lugsail adjustment")
+
+        def scan(chain: SampleMatrix) -> LrvEstimate:
+            res = initial_sequence(chain) if method == "initseq" else adjusted_initial_sequence(chain)
+            return LrvEstimate(res.sigma, family=method)
+
+        return scan
 
     if lugsail == "custom":
         if r is None or c is None:
             raise ValueError("custom lugsail needs both r and c")
         config = LugsailConfig.classify(float(r), float(c))
-    elif lugsail == "none":
-        config = LugsailConfig()
-    elif lugsail == "zero":
-        config = LugsailConfig(r=2.0, c=0.5, regime="zero")
-    elif lugsail == "adaptive":
-        config = LugsailConfig(r=2.0, c=None, regime="adaptive")
-    elif lugsail == "over":
-        config = LugsailConfig(r=3.0, c=0.5, regime="over")
     else:
-        raise ValueError(f"unknown lugsail regime {lugsail!r}")
-
+        config = LugsailConfig.named(lugsail)
     win = get_window(window) if method == "sv" else None
 
     def estimate(chain: SampleMatrix) -> LrvEstimate:
@@ -225,21 +226,11 @@ def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
             return lugsail_batch_means(chain, bb, config)
         if method == "obm":
             return lugsail_overlapping_batch_means(chain, bb, config)
-        if config.regime == "none":
+        if config.c == 0.0:
             return spectral_variance(chain, win, bb)
         return lugsail_spectral_variance(chain, win, bb, config.r, config.resolve_c(chain.n, bb))
 
     return estimate
-
-
-def initial_sequence_estimate(chain: SampleMatrix) -> LrvEstimate:
-    res = initial_sequence(chain)
-    return LrvEstimate(res.sigma, family="initseq")
-
-
-def adjusted_initial_sequence_estimate(chain: SampleMatrix) -> LrvEstimate:
-    res = adjusted_initial_sequence(chain)
-    return LrvEstimate(res.sigma, family="initseq-adj")
 
 
 def standard_grid(lugsails: Sequence[str] = ("none", "zero", "over"),

@@ -1,6 +1,7 @@
 """Shared result types and positive-definiteness utilities for LRV estimators."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,13 +44,32 @@ def chol_logdet(m: np.ndarray, rel_tol: float = REL_TOL) -> tuple[bool, float, n
     return True, float(np.log(piv).sum()), lower
 
 
+#: The named lugsail regimes, name -> (r, c).  c=None is the adaptive
+#: weight, resolved against a concrete (n, b) by adaptive_c.
+REGIMES: dict[str, tuple[float, float | None]] = {
+    "none": (1.0, 0.0),
+    "zero": (2.0, 0.5),
+    "adaptive": (2.0, None),
+    "over": (3.0, 0.5),
+}
+
+
+def adaptive_c(n: int, b: int) -> float:
+    """Sample-size dependent lugsail weight; decreases to 1/2 as n/b grows."""
+    if not 1 <= b < n:
+        raise ValueError(f"need 1 <= b < n, got b={b}, n={n}")
+    gap = math.log(n) - math.log(b)
+    return (gap + 1.0) / (2.0 * gap + 1.0)
+
+
 @dataclass(frozen=True)
 class LugsailConfig:
     """Parameters of the two-scale lugsail bias correction.
 
     c is the mixing weight in [0, 1); c=None marks the adaptive schedule that
-    must be resolved against a concrete (n, b) before use.  regime is one of
-    none / zero / adaptive / over / custom.
+    must be resolved against a concrete (n, b) before use.  regime is a name
+    in REGIMES, whose (r, c) it must carry (the adaptive regime may carry its
+    resolved weight), or custom.
     """
 
     r: float = 1.0
@@ -63,31 +83,37 @@ class LugsailConfig:
             raise ValueError(f"lugsail weight c must lie in [0, 1), got {self.c}")
         if self.c is None and self.regime != "adaptive":
             raise ValueError("c=None is only valid for the adaptive regime")
-        if self.regime == "zero" and (self.r, self.c) != (2.0, 0.5):
-            raise ValueError("zero lugsail is r=2, c=1/2")
-        if self.regime == "over" and (self.r, self.c) != (3.0, 0.5):
-            raise ValueError("over lugsail is r=3, c=1/2")
-        if self.regime not in ("none", "zero", "adaptive", "over", "custom"):
+        if self.regime == "custom":
+            return
+        if self.regime not in REGIMES:
             raise ValueError(f"unknown lugsail regime {self.regime!r}")
+        r, c = REGIMES[self.regime]
+        if self.r != r or c not in (None, self.c):
+            raise ValueError(f"{self.regime} lugsail is r={r:g}, c={c}")
 
-    def resolve_c(self, n: int, b: int) -> float:
-        """Concrete weight for chain length n and batch size b."""
-        if self.c is not None:
-            return self.c
-        from .batch import adaptive_c
-
-        return adaptive_c(n, b)
+    @classmethod
+    def named(cls, name: str) -> "LugsailConfig":
+        """The configuration of a regime in REGIMES."""
+        if name not in REGIMES:
+            raise ValueError(f"unknown lugsail regime {name!r}")
+        r, c = REGIMES[name]
+        return cls(r=r, c=c, regime=name)
 
     @classmethod
     def classify(cls, r: float, c: float) -> "LugsailConfig":
-        """Tag concrete (r, c) with the regime name they correspond to."""
-        if c == 0.0 or r == 1.0:
-            return cls(r=r, c=c, regime="none") if c == 0.0 else cls(r=1.0, c=c, regime="custom")
-        if (r, c) == (2.0, 0.5):
-            return cls(r=2.0, c=0.5, regime="zero")
-        if (r, c) == (3.0, 0.5):
-            return cls(r=3.0, c=0.5, regime="over")
+        """Tag concrete (r, c) with the regime name they correspond to.
+
+        Only an exact table entry gets its name; anything else, including
+        c=0 at r > 1 (whose r still sets the default batch size), is custom.
+        """
+        for name, rc in REGIMES.items():
+            if (r, c) == rc:
+                return cls(r=r, c=c, regime=name)
         return cls(r=r, c=c, regime="custom")
+
+    def resolve_c(self, n: int, b: int) -> float:
+        """Concrete weight for chain length n and batch size b."""
+        return adaptive_c(n, b) if self.c is None else self.c
 
 
 @dataclass(frozen=True, eq=False)

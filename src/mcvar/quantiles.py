@@ -20,7 +20,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
 from .chain import SampleMatrix
-from .lrv import NotPositiveDefinite, chol_logdet, matrix_of
+from .lrv import LugsailConfig, NotPositiveDefinite, chol_logdet, matrix_of
 
 _NDTRI_CLIP = 1e-15
 
@@ -137,10 +137,10 @@ def estimate_omega(chain: SampleMatrix, targets: list[TargetSpec], estimator=Non
     transformed = joint_transformed_chain(chain, targets)
     if estimator is None:
         from .batch import default_batch_size, lugsail_batch_means
-        from .lrv import LugsailConfig
 
-        b = default_batch_size(chain.n, "sqrt", r=2.0)
-        est = lugsail_batch_means(transformed, b, LugsailConfig(r=2.0, c=0.5, regime="zero"))
+        zero = LugsailConfig.named("zero")
+        b = default_batch_size(chain.n, "sqrt", r=zero.r)
+        est = lugsail_batch_means(transformed, b, zero)
     else:
         est = estimator(transformed)
     nu = np.array([

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import SampleMatrix
-from .lrv import LrvEstimate, LugsailConfig, symmetrize
+from .lrv import LrvEstimate, LugsailConfig, adaptive_c, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,13 +37,9 @@ class LagWindow:
     fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x):
-        return self.fn(np.abs(np.asarray(x, float)))
-
-
-def window_value(window: LagWindow, x) -> float | np.ndarray:
-    """Evaluate the kernel at x (scalar or array)."""
-    out = window(x)
-    return float(out) if np.ndim(x) == 0 else out
+        """Evaluate the kernel at x: a float for scalar x, else an array."""
+        out = self.fn(np.abs(np.asarray(x, float)))
+        return float(out) if np.ndim(x) == 0 else out
 
 
 def _bartlett(ax: np.ndarray) -> np.ndarray:
@@ -113,14 +109,9 @@ def lugsail_window(base: LagWindow, r: float, c: float) -> LagWindow:
                      q=base.q, k_q=k_q, fn=fn)
 
 
-def window_smoothness(window: LagWindow) -> tuple[int, float]:
-    """(q, k_q) describing flatness of the kernel at the origin."""
-    return window.q, window.k_q
-
-
 def _weight_spectrum(window: LagWindow, b: int, n: int, nfft: int) -> np.ndarray:
     """rfft of the symmetric padded weight sequence kappa(s/b), |s| <= n-1."""
-    if window.support is not math.inf:
+    if math.isfinite(window.support):
         smax = min(n - 1, math.ceil(window.support * b))
     else:
         smax = n - 1
@@ -167,8 +158,6 @@ def lugsail_spectral_variance(chain: SampleMatrix, base: LagWindow, b: int,
     if int(b // r) < 1:
         raise ValueError(f"floor(b/r) must be >= 1, got b={b}, r={r}")
     if c is None:
-        from .batch import adaptive_c
-
         c = adaptive_c(chain.n, b)
     est = spectral_variance(chain, lugsail_window(base, r, c), b)
     if c == 0.0 or r == 1.0:
@@ -188,6 +177,4 @@ __all__ = [
     "lugsail_spectral_variance",
     "lugsail_window",
     "spectral_variance",
-    "window_smoothness",
-    "window_value",
 ]

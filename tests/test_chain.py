@@ -34,6 +34,14 @@ class TestSampleMatrix:
         with pytest.raises(ValueError):
             s.values[0, 0] = 7.0
 
+    def test_cached_centering_and_spectrum_are_read_only(self):
+        s = SampleMatrix([[1.0], [2.0]])
+        with pytest.raises(ValueError):
+            s._centered[0, 0] = 7.0
+        with pytest.raises(ValueError):
+            s._spectrum[0][0, 0] = 7.0
+        assert np.array_equal(s._centered, [[-0.5], [0.5]])
+
 
 class TestMeanVector:
     def test_constant_chain_is_idempotent(self):

@@ -22,7 +22,8 @@ from mcvar import (
     lugsail_spectral_variance,
 )
 from mcvar.cli import EXIT_OK, EXIT_USAGE, main
-from mcvar.experiments import Ar1Config, ar1_generate, make_estimator
+from mcvar.experiments import METHODS as FACTORY_METHODS, Ar1Config, ar1_generate, make_estimator
+from mcvar.lrv import REGIMES
 
 METHODS = ("bm", "obm", "sv", "initseq", "initseq-adj")
 REGIME_RC = {"none": (1.0, 0.0), "zero": (2.0, 0.5), "adaptive": (2.0, None), "over": (3.0, 0.5)}
@@ -75,6 +76,22 @@ def test_classify_maps_table_entries_to_their_names(name):
 def test_policy_returns_table_entries(rho, name):
     r, c = REGIME_RC[name]
     assert lugsail_policy(rho) == LugsailConfig(r=r, c=c, regime=name)
+
+
+def test_package_tables_match():
+    assert REGIMES == REGIME_RC
+    assert FACTORY_METHODS == METHODS
+    for name, (r, c) in REGIME_RC.items():
+        assert LugsailConfig.named(name) == LugsailConfig(r=r, c=c, regime=name)
+    with pytest.raises(ValueError, match="unknown lugsail regime"):
+        LugsailConfig.named("custom")
+    with pytest.raises(ValueError, match="unknown estimator method"):
+        make_estimator("nope")
+
+
+def test_adaptive_regime_carries_its_resolved_weight(chain):
+    est = make_estimator("bm", lugsail="adaptive")(chain)
+    assert est.lugsail.regime == "adaptive" and 0.5 < est.lugsail.c < 1.0
 
 
 def test_named_regime_rejects_other_parameters():

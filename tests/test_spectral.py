@@ -12,14 +12,13 @@ from mcvar import (
     QUADRATIC_SPECTRAL,
     TUKEY_HANNING,
     WINDOWS,
+    LagWindow,
     SampleMatrix,
     get_window,
     lugsail_spectral_variance,
     lugsail_window,
     overlapping_batch_means,
     spectral_variance,
-    window_smoothness,
-    window_value,
 )
 
 from conftest import ar1_paths, nested_sv
@@ -29,19 +28,20 @@ GRID = np.linspace(-1.5, 1.5, 301)
 
 class TestWindowValues:
     def test_bartlett(self):
-        assert window_value(BARTLETT, 0.5) == pytest.approx(0.5)
-        assert window_value(BARTLETT, 1.2) == 0.0
+        assert isinstance(BARTLETT(0.5), float)
+        assert BARTLETT(0.5) == pytest.approx(0.5)
+        assert BARTLETT(1.2) == 0.0
 
     def test_bartlett_flattop_two_pieces(self):
-        assert window_value(BARTLETT_FLATTOP, 0.25) == 1.0
-        assert window_value(BARTLETT_FLATTOP, 0.75) == pytest.approx(0.5)
+        assert BARTLETT_FLATTOP(0.25) == 1.0
+        assert BARTLETT_FLATTOP(0.75) == pytest.approx(0.5)
 
     def test_tukey_hanning(self):
-        assert window_value(TUKEY_HANNING, 0.5) == pytest.approx(0.5)
-        assert window_value(TUKEY_HANNING, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert TUKEY_HANNING(0.5) == pytest.approx(0.5)
+        assert TUKEY_HANNING(1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_quadratic_spectral_origin_limit(self):
-        assert window_value(QUADRATIC_SPECTRAL, 0.0) == 1.0
+        assert QUADRATIC_SPECTRAL(0.0) == 1.0
 
     def test_quadratic_spectral_series_is_smooth_and_bounded(self):
         # the closed form overshoots 1 near the origin from cancellation; the
@@ -55,7 +55,7 @@ class TestWindowValues:
     @pytest.mark.parametrize("name", sorted(WINDOWS))
     def test_unit_at_zero_and_symmetric_on_grid(self, name):
         w = WINDOWS[name]
-        assert window_value(w, 0.0) == 1.0
+        assert w(0.0) == 1.0
         assert np.allclose(w(GRID), w(-GRID), atol=0)
 
     def test_get_window_rejects_unknown(self):
@@ -74,7 +74,7 @@ class TestLugsailWindow:
 
     def test_over_lugsail_lifts_above_one(self):
         w = lugsail_window(BARTLETT, 3.0, 0.5)
-        assert window_value(w, 1.0 / 3.0) == pytest.approx(4.0 / 3.0)
+        assert w(1.0 / 3.0) == pytest.approx(4.0 / 3.0)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -85,40 +85,40 @@ class TestLugsailWindow:
     @given(st.sampled_from(sorted(WINDOWS)), st.floats(1.0, 5.0), st.floats(0.0, 0.95))
     def test_always_unit_at_zero_and_symmetric(self, name, r, c):
         w = lugsail_window(WINDOWS[name], r, c)
-        assert window_value(w, 0.0) == pytest.approx(1.0)
+        assert w(0.0) == pytest.approx(1.0)
         assert np.allclose(w(GRID), w(-GRID), atol=0)
 
 
 class TestWindowSmoothness:
     def test_bartlett_first_order(self):
-        assert window_smoothness(BARTLETT) == (1, 1.0)
+        assert (BARTLETT.q, BARTLETT.k_q) == (1, 1.0)
 
     def test_tukey_hanning_second_order(self):
-        q, kq = window_smoothness(TUKEY_HANNING)
+        q, kq = TUKEY_HANNING.q, TUKEY_HANNING.k_q
         assert q == 2
         assert kq == pytest.approx(math.pi**2 / 4)
         # numeric limit from the raw formula
         x = 1e-4
-        assert (1 - window_value(TUKEY_HANNING, x)) / x**2 == pytest.approx(kq, rel=1e-6)
+        assert (1 - TUKEY_HANNING(x)) / x**2 == pytest.approx(kq, rel=1e-6)
 
     def test_flattop_is_flat_at_origin(self):
-        assert window_smoothness(BARTLETT_FLATTOP) == (1, 0.0)
+        assert (BARTLETT_FLATTOP.q, BARTLETT_FLATTOP.k_q) == (1, 0.0)
 
     def test_quadratic_spectral_constant_by_numeric_limit(self):
         # confirm the stored constant against the closed form evaluated just
         # outside the series switchover, where cancellation is still mild
-        q, kq = window_smoothness(QUADRATIC_SPECTRAL)
+        q, kq = QUADRATIC_SPECTRAL.q, QUADRATIC_SPECTRAL.k_q
         assert q == 2
         x = 0.02
-        numeric = (1 - window_value(QUADRATIC_SPECTRAL, x)) / x**2
+        numeric = (1 - QUADRATIC_SPECTRAL(x)) / x**2
         assert numeric == pytest.approx(kq, rel=5e-4)
         assert kq == pytest.approx(18 * math.pi**2 / 125, rel=1e-12)
 
     def test_zero_lugsail_kills_first_order_constant(self):
-        assert window_smoothness(lugsail_window(BARTLETT, 2.0, 0.5))[1] == 0.0
+        assert lugsail_window(BARTLETT, 2.0, 0.5).k_q == 0.0
 
     def test_over_lugsail_flips_the_sign(self):
-        assert window_smoothness(lugsail_window(BARTLETT, 3.0, 0.5))[1] == pytest.approx(-1.0)
+        assert lugsail_window(BARTLETT, 3.0, 0.5).k_q == pytest.approx(-1.0)
 
 
 class TestSpectralVariance:
@@ -164,6 +164,13 @@ class TestSpectralVariance:
         b = min(b, s.n - 1)
         got = spectral_variance(s, BARTLETT, b).matrix
         assert np.abs(got - nested_sv(values, BARTLETT, b)).max() < 1e-9
+
+    def test_user_window_with_infinite_support(self, rng):
+        s = SampleMatrix(rng.standard_normal((300, 2)))
+        user = LagWindow("user-qs", support=float("inf"), q=2, k_q=QUADRATIC_SPECTRAL.k_q,
+                         fn=QUADRATIC_SPECTRAL.fn)
+        assert np.array_equal(spectral_variance(s, user, 12).matrix,
+                              spectral_variance(s, QUADRATIC_SPECTRAL, 12).matrix)
 
     def test_close_to_overlapping_batch_means(self, rng):
         # Bartlett window and overlapping batches agree up to end effects
