@@ -31,7 +31,7 @@ from .diagnostics import (
     region_contains,
     region_volume,
 )
-from .initseq import InitSeqResult, adjacent_pair_sums, adjusted_initial_sequence, initial_sequence
+from .initseq import InitSeqResult, adjusted_initial_sequence, initial_sequence
 from .lrv import LrvEstimate, LugsailConfig, NotPositiveDefinite, adaptive_c
 from .quantiles import (
     JointEstimate,
@@ -78,7 +78,6 @@ __all__ = [
     "TargetSpec",
     "WINDOWS",
     "adaptive_c",
-    "adjacent_pair_sums",
     "adjusted_initial_sequence",
     "batch_means",
     "bm_exact_bias_ar1",

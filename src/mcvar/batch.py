@@ -7,7 +7,6 @@ bias that batch means exhibit on positively correlated chains.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -125,13 +124,12 @@ def default_batch_size(n: int, rule: str = "sqrt", r: float = 1.0) -> int:
 
 def _lugsail_of(base, chain: SampleMatrix, b: int, config: LugsailConfig) -> LrvEstimate:
     big = base(chain, b)
+    b_small = int(b // config.r)
+    if b_small < 1:
+        raise ValueError(f"floor(b/r) must be >= 1, got b={b}, r={config.r}")
     c = config.resolve_c(chain.n, b)
     if c == 0.0 or config.r == 1.0:
         return big
-    b_small = int(b // config.r)
-    if b_small < 1:
-        warnings.warn(f"floor(b/r) = 0 for b={b}, r={config.r}; clamping the small batch size to 1")
-        b_small = 1
     est = lugsail_combine(big, base(chain, b_small), c)
     meta = LugsailConfig(r=config.r, c=c, regime=config.regime)
     return LrvEstimate(est.matrix, family=est.family, b=b, window=est.window, lugsail=meta)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import SampleMatrix, _lag_cov_block
-from .lrv import NotPositiveDefinite, chol_logdet
+from .lrv import NotPositiveDefinite, chol_logdet, symmetrize
 
-_FIRST_BLOCK = 128
+_FIRST_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,62 +39,25 @@ class InitSeqResult:
         return float(self.sigma[0, 0])
 
 
-def adjacent_pair_sums(chain: SampleMatrix, mmax: int) -> np.ndarray:
-    """Symmetrized lag-covariance pairs A_i = sym R(2i) + sym R(2i+1).
-
-    Returns an (mmax+1, p, p) array.  Symmetrizing each lag covariance first
-    removes the finite-sample asymmetry that would otherwise leak into the
-    eigenvalue logic (the population matrices are symmetric for reversible
-    chains).
-    """
-    if 2 * mmax + 1 > chain.n - 1:
-        raise ValueError(f"pair index {mmax} needs lag {2 * mmax + 1} but the chain has length {chain.n}")
-    if mmax < 0:
-        raise ValueError("pair index must be non-negative")
-    block = _lag_cov_block(chain, 0, 2 * mmax + 2)
-    sym = 0.5 * (block + np.transpose(block, (0, 2, 1)))
-    return sym[0::2] + sym[1::2]
-
-
-class _SymLagBlock:
-    """Symmetrized lag covariances fetched lazily in doubling FFT blocks.
-
-    Each growth costs one full cross-spectrum pass, so both the zeroth lag
-    and all pair sums are served from the same cache.
-    """
-
-    def __init__(self, chain: SampleMatrix):
-        self.chain = chain
-        self.block: np.ndarray | None = None
-
-    def _ensure(self, upto: int) -> None:
-        if self.block is None or self.block.shape[0] <= upto:
-            want = min(self.chain.n - 1, max(_FIRST_BLOCK - 1, 2 * upto))
-            raw = _lag_cov_block(self.chain, 0, want + 1)
-            self.block = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
-
-    def lag(self, k: int) -> np.ndarray:
-        self._ensure(k)
-        return self.block[k]
-
-    def pair(self, m: int) -> np.ndarray:
-        self._ensure(2 * m + 1)
-        return self.block[2 * m] + self.block[2 * m + 1]
-
-
 def _scan(chain: SampleMatrix):
     """Shared truncation scan: returns (s_n, t_n, partials, pair sums used)."""
     if chain.n < 4:
         raise ValueError(f"need at least 4 iterations, got {chain.n}")
     limit = chain.n // 2 - 1
-    pairs = _SymLagBlock(chain)
-    running = -pairs.lag(0)
+    # A pass costs transforms of length n + K whatever K is, so fetch many
+    # lags at once and double the block whenever the scan outruns it.  Each
+    # lag is symmetrized, as the population matrices of a reversible chain
+    # are, which keeps the sample asymmetry out of the eigenvalue logic.
+    lags = _lag_cov_block(chain, min(chain.n, _FIRST_BLOCK) - 1)
+    running = -symmetrize(lags[0])
     used: list[np.ndarray] = []
     s_n = None
     logdets: list[float] = []
     snapshots: list[np.ndarray] = []
     for m in range(limit + 1):
-        a_m = pairs.pair(m)
+        if 2 * m + 1 >= len(lags):
+            lags = _lag_cov_block(chain, min(chain.n, 2 * len(lags)) - 1)
+        a_m = symmetrize(lags[2 * m]) + symmetrize(lags[2 * m + 1])
         used.append(a_m)
         running = running + 2.0 * a_m
         pd, logdet, _ = chol_logdet(running)
@@ -146,4 +109,4 @@ def _clip_negative_eigenvalues(m: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
-__all__ = ["InitSeqResult", "adjacent_pair_sums", "adjusted_initial_sequence", "initial_sequence"]
+__all__ = ["InitSeqResult", "adjusted_initial_sequence", "initial_sequence"]

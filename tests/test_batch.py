@@ -243,9 +243,11 @@ class TestLugsailWrappers:
         assert np.array_equal(lugsail_batch_means(s, 5, LugsailConfig()).matrix, batch_means(s, 5).matrix)
 
     def test_small_batch_clamp_warns(self, rng):
+        # floor(b/r) = 0 is refused, as lugsail_spectral_variance refuses it
         s = SampleMatrix(rng.standard_normal((50, 1)))
-        with pytest.warns(UserWarning, match="clamping"):
-            lugsail_batch_means(s, 2, LugsailConfig(r=3.0, c=0.5, regime="over"))
+        for wrapper in (lugsail_batch_means, lugsail_overlapping_batch_means):
+            with pytest.raises(ValueError, match=r"floor\(b/r\) must be >= 1"):
+                wrapper(s, 2, LugsailConfig(r=3.0, c=0.5, regime="over"))
 
     def test_obm_lugsail_mixes_the_right_scales(self, rng):
         s = SampleMatrix(rng.standard_normal((200, 1)))

@@ -135,6 +135,26 @@ class TestLagCovariancesFft:
         for k in range(kmax + 1):
             assert np.abs(block[k].matrix - lag_covariance(s, k).matrix).max() <= 1e-10
 
+    @given(st.integers(2, 64), st.data())
+    @settings(max_examples=100)
+    def test_property_any_length_and_lag_count(self, n, data):
+        # the transform length next_fast_len(n + kmax) is often odd or not a power of two
+        kmax = data.draw(st.integers(0, n - 1))
+        values = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 3))),
+                                  elements=st.floats(-10, 10, allow_nan=False, width=64)))
+        s = SampleMatrix(values)
+        block = lag_covariances_fft(s, kmax)
+        for k in range(kmax + 1):
+            assert np.abs(block[k].matrix - lag_covariance(s, k).matrix).max() <= 1e-10
+
+    def test_every_length_and_lag_count(self, rng):
+        for n in range(2, 65):
+            s = SampleMatrix(rng.uniform(-10, 10, size=(n, 2)))
+            direct = [lag_covariance(s, k).matrix for k in range(n)]
+            for kmax in range(n):
+                worst = max(np.abs(lc.matrix - d).max() for lc, d in zip(lag_covariances_fft(s, kmax), direct))
+                assert worst <= 1e-10, (n, kmax)
+
     def test_large_chain_against_direct(self, rng):
         v = rng.uniform(-10, 10, size=(2048, 2))
         s = SampleMatrix(v)

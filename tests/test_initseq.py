@@ -4,10 +4,14 @@ import pytest
 from mcvar import (
     NotPositiveDefinite,
     SampleMatrix,
-    adjacent_pair_sums,
     adjusted_initial_sequence,
     initial_sequence,
+    lag_covariance,
+    lag_covariances_fft,
 )
+from mcvar import initseq as initseq_module
+from mcvar.chain import _lag_cov_block
+from mcvar.lrv import chol_logdet
 
 from conftest import ar1_paths, naive_lag_cov
 
@@ -32,6 +36,14 @@ def scalar_initseq_oracle(values):
             return best, s_n, m - 1
         best = partial
     return best, s_n, limit
+
+
+def adjacent_pair_sums(chain, mmax):
+    """Symmetrized lag-covariance pairs sym R(2i) + sym R(2i+1), i = 0..mmax,
+    the increments the initial-sequence scan accumulates."""
+    lags = np.array([lc.matrix for lc in lag_covariances_fft(chain, 2 * mmax + 1)])
+    sym = 0.5 * (lags + np.transpose(lags, (0, 2, 1)))
+    return sym[0::2] + sym[1::2]
 
 
 class TestAdjacentPairSums:
@@ -118,3 +130,64 @@ class TestAdjustedInitialSequence:
         raw = initial_sequence(s)
         adj = adjusted_initial_sequence(s)
         assert (adj.s_n, adj.t_n) == (raw.s_n, raw.t_n)
+
+
+def direct_scan(values):
+    """The multivariate scan over direct lag covariances fetched one at a time.
+
+    Returns (s_n, t_n, logdet path, sigma) for the unadjusted estimate and
+    (logdet path, sigma) for the eigenvalue-adjusted one.
+    """
+    s = SampleMatrix(values)
+
+    def sym(k):
+        m = lag_covariance(s, k).matrix
+        return 0.5 * (m + m.T)
+
+    running = -sym(0)
+    s_n, path, partials, sums = None, [], [], []
+    for m in range(s.n // 2):
+        sums.append(sym(2 * m) + sym(2 * m + 1))
+        running = running + 2.0 * sums[-1]
+        pd, logdet, _ = chol_logdet(running)
+        if s_n is None:
+            if pd:
+                s_n, path, partials = m, [logdet], [running]
+            continue
+        if not pd or logdet <= path[-1]:
+            break
+        path.append(logdet)
+        partials.append(running)
+    t_n = s_n + len(path) - 1
+    adjusted = partials[0]
+    adjusted_path = [path[0]]
+    for m in range(s_n + 1, t_n + 1):
+        vals, vecs = np.linalg.eigh(sums[m])
+        adjusted = adjusted + 2.0 * (vecs * np.maximum(vals, 0.0)) @ vecs.T
+        adjusted_path.append(chol_logdet(adjusted)[1])
+    return (s_n, t_n, np.array(path), partials[-1]), (np.array(adjusted_path), adjusted)
+
+
+class TestLagBlockRegrowth:
+    def test_doubling_blocks_match_direct_scan(self, rng, monkeypatch):
+        # A 4-lag first block makes the scan double its lag block several
+        # times before it reaches t_n.
+        monkeypatch.setattr(initseq_module, "_FIRST_BLOCK", 4)
+        passes = []
+
+        def counting_block(chain, kmax):
+            passes.append(kmax)
+            return _lag_cov_block(chain, kmax)
+
+        monkeypatch.setattr(initseq_module, "_lag_cov_block", counting_block)
+        values = ar1_paths(rng, 2, 4000, 0.95).T
+        (s_n, t_n, path, sigma), (adjusted_path, adjusted_sigma) = direct_scan(values)
+        for estimate, want_path, want_sigma in ((initial_sequence, path, sigma),
+                                                (adjusted_initial_sequence, adjusted_path, adjusted_sigma)):
+            passes.clear()
+            res = estimate(SampleMatrix(values))
+            assert passes[:4] == [3, 7, 15, 31]
+            assert (res.s_n, res.t_n) == (s_n, t_n)
+            assert res.logdet_path.shape == want_path.shape
+            assert np.allclose(res.logdet_path, want_path, rtol=1e-12, atol=0)
+            assert np.abs(res.sigma - want_sigma).max() <= 1e-12 * np.abs(want_sigma).max()

@@ -15,6 +15,7 @@ from mcvar import (
     LagWindow,
     SampleMatrix,
     get_window,
+    lag_covariance,
     lugsail_spectral_variance,
     lugsail_window,
     overlapping_batch_means,
@@ -164,6 +165,30 @@ class TestSpectralVariance:
         b = min(b, s.n - 1)
         got = spectral_variance(s, BARTLETT, b).matrix
         assert np.abs(got - nested_sv(values, BARTLETT, b)).max() < 1e-9
+
+    @given(st.integers(2, 64), st.data())
+    @settings(max_examples=50)
+    def test_property_any_length_every_window(self, n, data):
+        # n=2 and n=8 give the odd lengths 3 and 15, which have no Nyquist bin
+        values = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 2))),
+                                  elements=st.floats(-10, 10, allow_nan=False, width=64)))
+        b = data.draw(st.integers(1, n - 1))
+        s = SampleMatrix(values)
+        for window in (*WINDOWS.values(), lugsail_window(BARTLETT, 3.0, 0.5)):
+            got = spectral_variance(s, window, b).matrix
+            assert np.abs(got - nested_sv(values, window, b)).max() < 1e-9, window.name
+
+    def test_every_length_every_window(self, rng):
+        for n in range(2, 65):
+            s = SampleMatrix(rng.uniform(-10, 10, size=(n, 2)))
+            lags = np.array([lag_covariance(s, k).matrix for k in range(n)])
+            both = lags + np.transpose(lags, (0, 2, 1))
+            for b in sorted({1, max(1, n // 3), n - 1}):
+                for window in (*WINDOWS.values(), lugsail_window(BARTLETT, 3.0, 0.5)):
+                    weights = window(np.arange(n) / b)
+                    direct = lags[0] * weights[0] + np.tensordot(weights[1:], both[1:], axes=1)
+                    got = spectral_variance(s, window, b).matrix
+                    assert np.abs(got - direct).max() < 1e-9, (n, b, window.name)
 
     def test_user_window_with_infinite_support(self, rng):
         s = SampleMatrix(rng.standard_normal((300, 2)))
