@@ -1,0 +1,131 @@
+"""Seeded CLI output pinned against a committed golden file.
+
+Each command runs on the same seeded 2000 x 3 AR(1, phi=0.9) chain.  The
+exit code and the first stderr line must match exactly; stdout must match
+with floats within 1e-12 relative, ignoring `wall_time_s`.
+
+After a deliberate change of output, regenerate the golden file with
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+
+and check that its diff touches only the commands meant to change.
+"""
+import contextlib
+import io
+import json
+import math
+import pathlib
+import sys
+import tempfile
+import warnings
+
+import numpy as np
+from scipy.signal import lfilter
+
+from mcvar.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("data") / "cli_golden.json"
+CHAIN = "{chain}"  # placeholder for the chain file's path in the golden argv
+REGIMES = ("none", "zero", "adaptive", "over")
+FAMILIES = ("bm", "obm", "sv")
+WINDOWS = ("bartlett", "bartlett-flattop", "tukey-hanning", "quadratic-spectral")
+
+
+def _custom(method, r, c, *extra):
+    return ["estimate", CHAIN, "--method", method, "--lugsail", "custom", "--r", r, "--c", c, *extra]
+
+
+COMMANDS = [
+    *[[cmd, CHAIN, "--method", m, "--lugsail", g]
+      for cmd in ("estimate", "ess", "stopcheck") for m in FAMILIES for g in REGIMES],
+    ["estimate", CHAIN, "--method", "initseq"],
+    ["estimate", CHAIN, "--method", "initseq-adj"],
+    *[_custom(m, "2.5", "0.4") for m in FAMILIES],
+    _custom("bm", "3", "0.5", "--b", "7"),
+    _custom("sv", "2", "0", "--b", "7"),
+    *[["estimate", CHAIN, "--method", "sv", "--window", w, "--lugsail", "over", "--b", "30"] for w in WINDOWS],
+    ["estimate", CHAIN, "--method", "obm", "--lugsail", "zero", "--out", "csv"],
+    ["stopcheck", CHAIN, "--lugsail", "over", "--eps", "0.5", "--nstar", "100"],
+    ["simci", CHAIN, "--targets", "mean:0,quant:1:0.1,quant:2:0.9", "--lugsail", "zero", "--seed", "3"],
+    # edge cases: c = 0 with floor(b/r) = 0, an invalid b under a lugsail
+    # regime, b < r, r below 1 and non-finite r
+    *[_custom(m, "2", "0", "--b", "1") for m in FAMILIES],
+    *[["estimate", CHAIN, "--method", m, "--lugsail", "over", "--b", "0"] for m in FAMILIES],
+    *[["estimate", CHAIN, "--method", m, "--lugsail", "over", "--b", "2"] for m in FAMILIES],
+    _custom("bm", "0.5", "0.5"),
+    *[_custom(m, r, "0.5") for m in FAMILIES for r in ("inf", "nan")],
+]
+
+
+def write_chain(path) -> str:
+    eps = np.random.default_rng(2024).standard_normal((2000, 3))
+    values, _ = lfilter([1.0], [1.0, -0.9], eps, axis=0, zi=np.zeros((1, 3)))
+    np.savetxt(path, values, delimiter=",")
+    return str(path)
+
+
+def run(argv: list[str]) -> dict:
+    """Run one command in-process; an uncaught exception counts as the
+    console script would report it, exit 1 with a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except Exception:
+            code, err = 1, io.StringIO("Traceback (most recent call last):\n")
+    text = out.getvalue()
+    if text.startswith(("{", "[")):
+        stdout = json.loads(text)
+        if isinstance(stdout, dict):
+            stdout.pop("wall_time_s", None)
+    else:
+        stdout = [line.split(",", 1) for line in text.splitlines() if not line.startswith("wall_time_s,")]
+    return {"exit": code, "stderr": (err.getvalue().splitlines() or [""])[0], "stdout": stdout}
+
+
+def record(chain: str) -> list[dict]:
+    return [{"argv": argv, **run([chain if a == CHAIN else a for a in argv])} for argv in COMMANDS]
+
+
+def same(got, want, where: str) -> list[str]:
+    """Differences between two outputs; floats (also in CSV text) within 1e-12 relative."""
+    if isinstance(got, str) and isinstance(want, str):
+        try:
+            got, want = float(got), float(want)
+        except ValueError:
+            return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+    if type(got) is not type(want):
+        return [f"{where}: {got!r} != {want!r}"]
+    if isinstance(got, dict):
+        if got.keys() != want.keys():
+            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
+        return [d for k in got for d in same(got[k], want[k], f"{where}.{k}")]
+    if isinstance(got, list):
+        if len(got) != len(want):
+            return [f"{where}: length {len(got)} != {len(want)}"]
+        return [d for i, (g, w) in enumerate(zip(got, want)) for d in same(g, w, f"{where}[{i}]")]
+    if isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0):
+        return []
+    return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+
+
+def test_cli_output_matches_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert [g["argv"] for g in golden] == COMMANDS
+    got = record(write_chain(tmp_path / "ar1.csv"))
+    diffs = []
+    for g, w in zip(got, golden):
+        cmd = " ".join(w["argv"])
+        diffs += [f"{cmd}: exit {g['exit']} != {w['exit']}"] if g["exit"] != w["exit"] else []
+        diffs += [f"{cmd}: stderr {g['stderr']!r} != {w['stderr']!r}"] if g["stderr"] != w["stderr"] else []
+        diffs += same(g["stdout"], w["stdout"], f"{cmd}: stdout")
+    assert not diffs, "\n".join(diffs)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = record(write_chain(pathlib.Path(tmp) / "ar1.csv"))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(rows, indent=1) + "\n")
+    print(f"wrote {GOLDEN} ({len(rows)} commands)", file=sys.stderr)
