@@ -50,24 +50,20 @@ def overlapping_batch_means(chain: SampleMatrix, b: int) -> LrvEstimate:
 def lugsail_combine(big: LrvEstimate, small: LrvEstimate, c: float) -> LrvEstimate:
     """Mix estimates at batch sizes b and floor(b/r): big/(1-c) - small*c/(1-c).
 
-    Both inputs must come from the same chain and estimator family.  The
-    result is symmetric but can fail positive semidefiniteness; the psd flag
-    on the returned estimate records the check.
+    Both inputs must come from the same chain and estimator family and carry
+    their batch sizes (r = big.b / small.b).  The result is symmetric but can
+    fail positive semidefiniteness; its psd flag records the check.
     """
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"lugsail weight c must lie in [0, 1), got {c}")
     if big.family != small.family:
         raise ValueError(f"cannot mix estimator families {big.family!r} and {small.family!r}")
-    if big.b is not None and small.b is not None and small.b > big.b:
-        raise ValueError("small-batch estimate has a larger batch size than the base")
-    # c=0 (and r=1, where both inputs coincide) must reproduce the base
-    # estimate entrywise, so short-circuit instead of round-tripping floats.
-    if c == 0.0 or np.array_equal(big.matrix, small.matrix):
+    if not (big.b and small.b):
+        raise ValueError("lugsail mixing needs the batch sizes of both estimates")
+    config = LugsailConfig(r=float(big.b) / float(small.b), c=c, regime="custom")
+    # a no-op (or equal inputs) must reproduce the base entrywise: no float round trip
+    if config.noop or np.array_equal(big.matrix, small.matrix):
         return big
     m = big.matrix / (1.0 - c) - small.matrix * (c / (1.0 - c))
-    r = float(big.b) / float(small.b) if big.b and small.b else math.nan
-    return LrvEstimate(m, family=big.family, b=big.b, window=big.window,
-                       lugsail=LugsailConfig(r=r, c=c, regime="custom"))
+    return LrvEstimate(m, family=big.family, b=big.b, window=big.window, lugsail=config)
 
 
 def lugsail_policy(rho: float) -> LugsailConfig:
@@ -124,15 +120,11 @@ def default_batch_size(n: int, rule: str = "sqrt", r: float = 1.0) -> int:
 
 def _lugsail_of(base, chain: SampleMatrix, b: int, config: LugsailConfig) -> LrvEstimate:
     big = base(chain, b)
-    b_small = int(b // config.r)
-    if b_small < 1:
-        raise ValueError(f"floor(b/r) must be >= 1, got b={b}, r={config.r}")
-    c = config.resolve_c(chain.n, b)
-    if c == 0.0 or config.r == 1.0:
+    applied = config.resolve(chain.n, b)
+    if applied is None:
         return big
-    est = lugsail_combine(big, base(chain, b_small), c)
-    meta = LugsailConfig(r=config.r, c=c, regime=config.regime)
-    return LrvEstimate(est.matrix, family=est.family, b=b, window=est.window, lugsail=meta)
+    est = lugsail_combine(big, base(chain, int(b // applied.r)), applied.c)
+    return LrvEstimate(est.matrix, family=est.family, b=b, window=est.window, lugsail=applied)
 
 
 def lugsail_batch_means(chain: SampleMatrix, b: int, config: LugsailConfig) -> LrvEstimate:
@@ -172,12 +164,12 @@ def bm_exact_bias_ar1(phi: float, n: int, b: int) -> float:
 
 def lugsail_exact_bias_ar1(phi: float, n: int, b: int, r: float, c: float) -> float:
     """Exact lugsail bias on the AR(1) chain, by linearity of the mixing."""
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"lugsail weight c must lie in [0, 1), got {c}")
-    if c == 0.0 or r == 1.0:
-        return bm_exact_bias_ar1(phi, n, b)
-    b_small = max(1, int(b // r))
-    return (bm_exact_bias_ar1(phi, n, b) - c * bm_exact_bias_ar1(phi, n, b_small)) / (1.0 - c)
+    config = LugsailConfig(r=r, c=c, regime="custom")
+    big = bm_exact_bias_ar1(phi, n, b)
+    applied = config.resolve(n, b)
+    if applied is None:
+        return big
+    return (big - applied.c * bm_exact_bias_ar1(phi, n, int(b // r))) / (1.0 - applied.c)
 
 
 __all__ = [

@@ -13,7 +13,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,43 +109,6 @@ def load_chain(spec: ChainFile) -> SampleMatrix:
         raise ChainFileError(f"{spec.path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Machine-readable result of one estimation command."""
-
-    method: dict
-    n: int
-    p: int
-    sigma: list
-    psd: bool
-    mcse: list | None
-    ess: float | None
-    ess_per_n: float | None
-    wall_time_s: float
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "n": self.n,
-            "p": self.p,
-            "sigma": self.sigma,
-            "psd": self.psd,
-            "mcse": self.mcse,
-            "ess": self.ess,
-            "ess_per_n": self.ess_per_n,
-            "wall_time_s": self.wall_time_s,
-        }
-        out.update(self.extra)
-        return out
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        d = json.loads(text)
-        known = {k: d.pop(k) for k in ("method", "n", "p", "sigma", "psd", "mcse", "ess", "ess_per_n", "wall_time_s")}
-        return cls(extra=d, **known)
-
-
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
@@ -216,9 +179,9 @@ def estimator_from_args(args) -> tuple:
     """Build (estimator, metadata); make_estimator validates the values, this
     only refuses flags that the chosen method or regime would ignore."""
     if args.window is not None and args.method != "sv":
-        raise UsageError("--window is only valid with --method sv")
+        raise ValueError("--window is only valid with --method sv")
     if (args.r is not None or args.c is not None) and args.lugsail != "custom":
-        raise UsageError("--r/--c are only valid with --lugsail custom")
+        raise ValueError("--r/--c are only valid with --lugsail custom")
     window = args.window or "bartlett"
     estimator = make_estimator(args.method, b=args.b, lugsail=args.lugsail,
                                r=args.r, c=args.c, window=window)
@@ -230,16 +193,12 @@ def estimator_from_args(args) -> tuple:
     return estimator, meta
 
 
-class UsageError(ValueError):
-    pass
-
-
 def cmd_estimate(args) -> int:
     estimator, meta = estimator_from_args(args)
     chain = load_chain(sniff_chain_file(args.file, args.columns))
     t0 = time.perf_counter()
     estimate = estimator(chain)
-    errors = np.asarray(mcse(estimate, chain.n))
+    errors = mcse(estimate, chain.n)
     try:
         ess_val = ess(chain, estimate)
     except NotPositiveDefinite:
@@ -249,19 +208,22 @@ def cmd_estimate(args) -> int:
     meta["b"] = estimate.b
     if estimate.lugsail is not None:
         meta["r"], meta["c"] = estimate.lugsail.r, estimate.lugsail.c
-    report = RunReport(
-        method=meta, n=chain.n, p=chain.p,
-        sigma=_jsonable(estimate.matrix), psd=estimate.psd,
-        mcse=_jsonable(errors),
-        ess=None if ess_val is None else float(ess_val),
-        ess_per_n=None if ess_val is None else float(ess_val) / chain.n,
-        wall_time_s=wall,
-        extra={"mean": _jsonable(mean_vector(chain))},
-    )
+    report = {
+        "method": meta,
+        "n": chain.n,
+        "p": chain.p,
+        "sigma": estimate.matrix,
+        "psd": estimate.psd,
+        "mcse": errors,
+        "ess": None if ess_val is None else float(ess_val),
+        "ess_per_n": None if ess_val is None else float(ess_val) / chain.n,
+        "wall_time_s": wall,
+        "mean": mean_vector(chain),
+    }
     if args.out == "json":
-        emit_json(report.to_dict())
+        emit_json(report)
     else:
-        emit_report_csv(report.to_dict())
+        emit_report_csv(report)
     return EXIT_OK
 
 
@@ -308,10 +270,10 @@ def parse_targets(text: str) -> list[TargetSpec]:
             else:
                 raise ValueError(part)
         except (ValueError, IndexError) as exc:
-            raise UsageError(
+            raise ValueError(
                 f"bad target {part!r}; use mean:<col> or quant:<col>:<q>") from exc
     if not targets:
-        raise UsageError("no targets given")
+        raise ValueError("no targets given")
     return targets
 
 
@@ -341,7 +303,7 @@ def _experiment_rows(args) -> list[dict]:
     if args.name == "ar1-ess":
         return ess_study(ar1_chain_factory(args.phi), ar1_truth(args.phi), grid, n_grid,
                          args.reps, args.seed)
-    raise UsageError(f"unknown experiment {args.name!r}")
+    raise ValueError(f"unknown experiment {args.name!r}")
 
 
 def cmd_experiment(args) -> int:
@@ -383,7 +345,7 @@ def cmd_experiment(args) -> int:
         grid = standard_grid(methods=("bm", "sv", "initseq"))
         emit_rows(timing_bench(chain, grid, repetitions=args.reps), args.out)
         return EXIT_OK
-    raise UsageError(f"unknown experiment {args.name!r}")
+    raise ValueError(f"unknown experiment {args.name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,9 +417,6 @@ def main(argv=None) -> int:
     except ChainFileError as exc:
         print(f"mcvar: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except UsageError as exc:
-        print(f"mcvar: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NotPositiveDefinite as exc:
         print(f"mcvar: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -20,7 +20,7 @@ from .chain import SampleMatrix, mean_vector
 from .diagnostics import ess, region_contains
 from .initseq import adjusted_initial_sequence, initial_sequence
 from .lrv import LrvEstimate, LugsailConfig
-from .spectral import get_window, lugsail_spectral_variance, spectral_variance
+from .spectral import get_window, lugsail_spectral_variance
 
 Estimator = Callable[[SampleMatrix], LrvEstimate]
 
@@ -226,9 +226,7 @@ def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
             return lugsail_batch_means(chain, bb, config)
         if method == "obm":
             return lugsail_overlapping_batch_means(chain, bb, config)
-        if config.c == 0.0:
-            return spectral_variance(chain, win, bb)
-        return lugsail_spectral_variance(chain, win, bb, config.r, config.resolve_c(chain.n, bb))
+        return lugsail_spectral_variance(chain, win, bb, config.r, config.c)
 
     return estimate
 

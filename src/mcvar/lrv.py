@@ -1,8 +1,8 @@
-"""Shared result types and positive-definiteness utilities for LRV estimators."""
+"""Result types, positive-definiteness utilities and the lugsail rules of LRV estimators."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,12 +64,14 @@ def adaptive_c(n: int, b: int) -> float:
 
 @dataclass(frozen=True)
 class LugsailConfig:
-    """Parameters of the two-scale lugsail bias correction.
+    """Parameters of the two-scale lugsail bias correction, and the only code
+    that knows what they mean: __post_init__ is the only (r, c) check and
+    resolve() the only place a correction meets a concrete (n, b), for every
+    estimator family and the exact AR(1) bias.
 
-    c is the mixing weight in [0, 1); c=None marks the adaptive schedule that
-    must be resolved against a concrete (n, b) before use.  regime is a name
-    in REGIMES, whose (r, c) it must carry (the adaptive regime may carry its
-    resolved weight), or custom.
+    r is finite and >= 1; c lies in [0, 1), or is None for the adaptive
+    weight.  regime is a name in REGIMES, whose (r, c) it must carry (the
+    adaptive regime may carry its resolved weight), or custom.
     """
 
     r: float = 1.0
@@ -77,12 +79,10 @@ class LugsailConfig:
     regime: str = "none"
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"lugsail ratio r must be >= 1, got {self.r}")
+        if not 1 <= self.r < math.inf:
+            raise ValueError(f"lugsail ratio r must be finite and >= 1, got {self.r}")
         if self.c is not None and not 0.0 <= self.c < 1.0:
             raise ValueError(f"lugsail weight c must lie in [0, 1), got {self.c}")
-        if self.c is None and self.regime != "adaptive":
-            raise ValueError("c=None is only valid for the adaptive regime")
         if self.regime == "custom":
             return
         if self.regime not in REGIMES:
@@ -100,20 +100,31 @@ class LugsailConfig:
         return cls(r=r, c=c, regime=name)
 
     @classmethod
-    def classify(cls, r: float, c: float) -> "LugsailConfig":
-        """Tag concrete (r, c) with the regime name they correspond to.
+    def classify(cls, r: float, c: float | None) -> "LugsailConfig":
+        """Tag (r, c) with the regime name they correspond to.
 
-        Only an exact table entry gets its name; anything else, including
-        c=0 at r > 1 (whose r still sets the default batch size), is custom.
+        Only an exact table entry gets its name; anything else (c=0 at r > 1,
+        whose r still sets the default batch size, or c=None at r != 2) is custom.
         """
         for name, rc in REGIMES.items():
             if (r, c) == rc:
                 return cls(r=r, c=c, regime=name)
         return cls(r=r, c=c, regime="custom")
 
-    def resolve_c(self, n: int, b: int) -> float:
-        """Concrete weight for chain length n and batch size b."""
-        return adaptive_c(n, b) if self.c is None else self.c
+    @property
+    def noop(self) -> bool:
+        """True when the correction changes nothing: c = 0 or r = 1."""
+        return self.c == 0.0 or self.r == 1.0
+
+    def resolve(self, n: int, b: int) -> "LugsailConfig | None":
+        """This correction at chain length n and batch size (or truncation
+        point) b, its weight resolved and its regime kept, or None for a no-op.
+        Refuses floor(b/r) < 1 whatever c is; callers check b itself first."""
+        if int(b // self.r) < 1:
+            raise ValueError(f"floor(b/r) must be >= 1, got b={b}, r={self.r}")
+        if self.noop:
+            return None
+        return self if self.c is not None else replace(self, c=adaptive_c(n, b))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import SampleMatrix
-from .lrv import LrvEstimate, LugsailConfig, adaptive_c, symmetrize
+from .lrv import LrvEstimate, LugsailConfig, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,15 +88,11 @@ def get_window(name: str) -> LagWindow:
 def lugsail_window(base: LagWindow, r: float, c: float) -> LagWindow:
     """Two-scale transform of a lag window: kappa(x)/(1-c) - c*kappa(r*x)/(1-c).
 
-    c=0 or r=1 returns the base window itself.  Over-lugsail settings
-    (r > 1/c) lift the weights above 1 near the origin, which flips the
-    first-order bias positive.
+    A no-op correction (c=0 or r=1) returns the base window itself.
+    Over-lugsail settings (r > 1/c) lift the weights above 1 near the
+    origin, which flips the first-order bias positive.
     """
-    if r < 1.0:
-        raise ValueError(f"lugsail ratio r must be >= 1, got {r}")
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"lugsail weight c must lie in [0, 1), got {c}")
-    if c == 0.0 or r == 1.0:
+    if LugsailConfig(r=r, c=c, regime="custom").noop:
         return base
     scale_big = 1.0 / (1.0 - c)
     scale_small = c / (1.0 - c)
@@ -127,6 +123,11 @@ def _weight_spectrum(window: LagWindow, b: int, n: int, nfft: int) -> np.ndarray
 _GRAM_BLOCK = 2048  # real columns (1024 bins) per block of the Gram product
 
 
+def _check_truncation(n: int, b: int) -> None:
+    if not 1 <= b <= n - 1:
+        raise ValueError(f"truncation point must satisfy 1 <= b <= n-1, got b={b}, n={n}")
+
+
 def spectral_variance(chain: SampleMatrix, window: LagWindow, b: int) -> LrvEstimate:
     """Windowed lag-covariance sum with truncation point b.
 
@@ -135,8 +136,7 @@ def spectral_variance(chain: SampleMatrix, window: LagWindow, b: int) -> LrvEsti
     flag on the result).
     """
     n = chain.n
-    if not 1 <= b <= n - 1:
-        raise ValueError(f"truncation point must satisfy 1 <= b <= n-1, got b={b}, n={n}")
+    _check_truncation(n, b)
     spec, nfft = chain._spectrum  # G transposed: one row per component
     weights = _weight_spectrum(window, b, n, nfft)
     # Fold the one-sided spectrum: interior bins count twice, DC and Nyquist once.
@@ -163,17 +163,15 @@ def lugsail_spectral_variance(chain: SampleMatrix, base: LagWindow, b: int,
     Implemented through the transformed window (rather than mixing two
     estimates at b and floor(b/r)) so non-integer b/r needs no special
     casing; the two forms coincide when r divides b exactly.  c=None uses
-    the adaptive weight for this chain length.
+    the adaptive weight, at any r; the result is tagged LugsailConfig.classify(r, c).
     """
-    if int(b // r) < 1:
-        raise ValueError(f"floor(b/r) must be >= 1, got b={b}, r={r}")
-    if c is None:
-        c = adaptive_c(chain.n, b)
-    est = spectral_variance(chain, lugsail_window(base, r, c), b)
-    if c == 0.0 or r == 1.0:
-        return est
-    return LrvEstimate(est.matrix, family="sv", b=b, window=base.name,
-                       lugsail=LugsailConfig.classify(r, c))
+    config = LugsailConfig.classify(r, c)
+    _check_truncation(chain.n, b)
+    applied = config.resolve(chain.n, b)
+    if applied is None:
+        return spectral_variance(chain, base, b)
+    est = spectral_variance(chain, lugsail_window(base, applied.r, applied.c), b)
+    return LrvEstimate(est.matrix, family="sv", b=b, window=base.name, lugsail=applied)
 
 
 __all__ = [

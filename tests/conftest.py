@@ -11,6 +11,8 @@ import os
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.signal import lfilter
 
 settings.register_profile(
@@ -58,6 +60,25 @@ def ar1_paths(rng: np.random.Generator, reps: int, n: int, phi: float, x0: float
     zi = np.full((reps, 1), phi * x0)
     x, _ = lfilter([1.0], [1.0, -phi], eps, axis=1, zi=zi)
     return x
+
+
+@st.composite
+def lugsail_cases(draw):
+    """(values, r, b, c) with p in {1, 2, 3}, r in {2, 3}, b a multiple of r
+    small enough for every family (n // b >= 2), and c in [0, 0.9]."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2 * r, 64))
+    b = r * draw(st.integers(1, n // (2 * r)))
+    values = draw(arrays(np.float64, (n, draw(st.integers(1, 3))),
+                         elements=st.floats(-10, 10, allow_nan=False, width=64)))
+    return values, float(r), b, draw(st.floats(0.0, 0.9))
+
+
+def assert_lugsail_mix(got, big, small, c: float, rel: float) -> None:
+    """got == (big - c * small) / (1 - c) within rel of the inputs' scale."""
+    want = (big - c * small) / (1.0 - c)
+    scale = max(np.abs(big).max(), np.abs(small).max())
+    assert np.abs(got - want).max() <= rel * scale
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mcvar import (
+    BARTLETT,
     LrvEstimate,
     LugsailConfig,
     SampleMatrix,
@@ -20,11 +21,12 @@ from mcvar import (
     lugsail_exact_bias_ar1,
     lugsail_overlapping_batch_means,
     lugsail_policy,
+    lugsail_spectral_variance,
     overlapping_batch_means,
     sample_covariance,
 )
 
-from conftest import ar1_paths
+from conftest import ar1_paths, assert_lugsail_mix, lugsail_cases
 
 chains = arrays(
     np.float64,
@@ -156,7 +158,7 @@ class TestLugsailPolicy:
 
     def test_adaptive_resolves_per_chain(self):
         cfg = lugsail_policy(0.8)
-        assert cfg.resolve_c(2_718_282, 1_000_000) == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert cfg.resolve(2_718_282, 1_000_000).c == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -243,11 +245,26 @@ class TestLugsailWrappers:
         assert np.array_equal(lugsail_batch_means(s, 5, LugsailConfig()).matrix, batch_means(s, 5).matrix)
 
     def test_small_batch_clamp_warns(self, rng):
-        # floor(b/r) = 0 is refused, as lugsail_spectral_variance refuses it
+        # floor(b/r) = 0 is refused by every family and by the exact bias,
+        # also when c = 0 makes the correction a no-op
         s = SampleMatrix(rng.standard_normal((50, 1)))
+        floor = r"floor\(b/r\) must be >= 1"
         for wrapper in (lugsail_batch_means, lugsail_overlapping_batch_means):
-            with pytest.raises(ValueError, match=r"floor\(b/r\) must be >= 1"):
+            with pytest.raises(ValueError, match=floor):
                 wrapper(s, 2, LugsailConfig(r=3.0, c=0.5, regime="over"))
+        with pytest.raises(ValueError, match=floor):
+            lugsail_spectral_variance(s, BARTLETT, 1, 2.0, 0.0)
+        with pytest.raises(ValueError, match=floor):
+            lugsail_exact_bias_ar1(0.5, 1000, 2, 3.0, 0.5)
+
+    @given(lugsail_cases())
+    def test_equals_linear_combination(self, case):
+        values, r, b, c = case
+        s, config = SampleMatrix(values), LugsailConfig(r=r, c=c, regime="custom")
+        for wrapper, base in ((lugsail_batch_means, batch_means),
+                              (lugsail_overlapping_batch_means, overlapping_batch_means)):
+            got = wrapper(s, b, config).matrix
+            assert_lugsail_mix(got, base(s, b).matrix, base(s, b // int(r)).matrix, c, 1e-12)
 
     def test_obm_lugsail_mixes_the_right_scales(self, rng):
         s = SampleMatrix(rng.standard_normal((200, 1)))

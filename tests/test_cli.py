@@ -10,7 +10,6 @@ from mcvar.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
-    RunReport,
     load_chain,
     main,
     parse_targets,
@@ -100,6 +99,32 @@ class TestEstimateCommand:
         code, _, _ = run(capsys, "estimate", chain4, "--method", "bm", "--lugsail", "custom", "--r", "2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("method", ["bm", "obm", "sv"])
+    @pytest.mark.parametrize("r", ["inf", "nan"])
+    def test_non_finite_r_is_a_usage_error(self, capsys, ar1_file, method, r):
+        code, out, err = run(capsys, "estimate", ar1_file, "--method", method,
+                             "--lugsail", "custom", "--r", r, "--c", "0.5")
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"mcvar: usage error: lugsail ratio r must be finite and >= 1, got {r}\n"
+
+    @pytest.mark.parametrize("method", ["bm", "obm", "sv"])
+    def test_zero_weight_still_needs_a_small_batch(self, capsys, ar1_file, method):
+        # c = 0 changes nothing, but floor(b/r) >= 1 holds for it as for any c
+        code, _, err = run(capsys, "estimate", ar1_file, "--method", method,
+                           "--lugsail", "custom", "--r", "2", "--c", "0", "--b", "1")
+        assert code == EXIT_USAGE
+        assert "floor(b/r) must be >= 1" in err
+
+    @pytest.mark.parametrize("method, message", [
+        ("bm", "batch size must be >= 1"),
+        ("obm", "overlapping batch size must satisfy"),
+        ("sv", "truncation point must satisfy"),
+    ])
+    def test_base_batch_check_runs_before_the_lugsail_one(self, capsys, ar1_file, method, message):
+        code, _, err = run(capsys, "estimate", ar1_file, "--method", method, "--lugsail", "over", "--b", "0")
+        assert code == EXIT_USAGE
+        assert message in err and "floor" not in err
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", str(tmp_path / "nope.csv"))
         assert code == EXIT_INPUT
@@ -120,10 +145,10 @@ class TestEstimateCommand:
     def test_report_roundtrips_sigma_exactly(self, capsys, ar1_file):
         code, out, _ = run(capsys, "estimate", ar1_file, "--method", "sv", "--window", "tukey-hanning")
         assert code == EXIT_OK
-        report = RunReport.from_json(out)
-        again = json.loads(json.dumps(report.to_dict()))
-        assert again["sigma"] == json.loads(out)["sigma"]
-        assert isinstance(report.sigma[0][0], float)
+        report = json.loads(out)
+        again = json.loads(json.dumps(report))
+        assert again["sigma"] == report["sigma"]
+        assert isinstance(report["sigma"][0][0], float)
 
 
 class TestEssCommand:

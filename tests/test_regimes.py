@@ -89,8 +89,9 @@ def test_package_tables_match():
         make_estimator("nope")
 
 
-def test_adaptive_regime_carries_its_resolved_weight(chain):
-    est = make_estimator("bm", lugsail="adaptive")(chain)
+@pytest.mark.parametrize("method", ["bm", "obm", "sv"])
+def test_adaptive_regime_carries_its_resolved_weight(chain, method):
+    est = make_estimator(method, lugsail="adaptive")(chain)
     assert est.lugsail.regime == "adaptive" and 0.5 < est.lugsail.c < 1.0
 
 

@@ -22,7 +22,7 @@ from mcvar import (
     spectral_variance,
 )
 
-from conftest import ar1_paths, nested_sv
+from conftest import ar1_paths, assert_lugsail_mix, lugsail_cases, nested_sv
 
 GRID = np.linspace(-1.5, 1.5, 301)
 
@@ -220,11 +220,14 @@ class TestLugsailSpectralVariance:
         b = spectral_variance(s, BARTLETT_FLATTOP, 16).matrix
         assert np.abs(a - b).max() < 1e-12
 
-    def test_equals_linear_combination_when_r_divides_b(self, rng):
-        s = SampleMatrix(rng.standard_normal((240, 2)))
-        mixed = lugsail_spectral_variance(s, BARTLETT, 12, 3.0, 0.5).matrix
-        direct = 2.0 * spectral_variance(s, BARTLETT, 12).matrix - spectral_variance(s, BARTLETT, 4).matrix
-        assert np.abs(mixed - direct).max() < 1e-10
+    @given(lugsail_cases())
+    def test_equals_linear_combination_when_r_divides_b(self, case):
+        values, r, b, c = case
+        s = SampleMatrix(values)
+        for window in WINDOWS.values():
+            got = lugsail_spectral_variance(s, window, b, r, c).matrix
+            big, small = spectral_variance(s, window, b).matrix, spectral_variance(s, window, b // int(r)).matrix
+            assert_lugsail_mix(got, big, small, c, 1e-10)
 
     def test_small_truncation_guard(self, rng):
         s = SampleMatrix(rng.standard_normal((50, 1)))
