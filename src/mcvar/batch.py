@@ -146,6 +146,8 @@ def bm_exact_bias_ar1(phi: float, n: int, b: int) -> float:
     """
     if not abs(phi) < 1:
         raise ValueError(f"need |phi| < 1, got {phi}")
+    if b < 1:
+        raise ValueError(f"batch size must be >= 1, got {b}")
     a = n // b
     if a * b != n:
         raise ValueError(f"exact bias needs n to be a multiple of b, got n={n}, b={b}")

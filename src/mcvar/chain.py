@@ -14,12 +14,20 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-import scipy.fft as sp_fft
 
 from .lrv import symmetrize
+
+
+@cache
+def _sp_fft():
+    """scipy.fft, imported on first use: only sv and initseq transform, and
+    loading it costs more than most commands compute."""
+    import scipy.fft
+
+    return scipy.fft
 
 
 def _fft_workers() -> int:
@@ -36,9 +44,10 @@ def _rfft_rows(centered: np.ndarray, nfft: int) -> np.ndarray:
     faster, and no chain-sized temporary slows the first calls in a process."""
     spec = np.empty((centered.shape[1], nfft // 2 + 1), complex)
     row = np.zeros(nfft)
+    rfft = _sp_fft().rfft
     for j, column in enumerate(centered.T):
         row[: len(column)] = column
-        spec[j] = sp_fft.rfft(row)
+        spec[j] = rfft(row)
     return spec
 
 
@@ -93,7 +102,7 @@ class SampleMatrix:
         The length next_fast_len(2n - 1, real=True) makes circular
         correlation linear for every lag up to n-1; it may be odd.
         """
-        nfft = sp_fft.next_fast_len(2 * self.n - 1, real=True)
+        nfft = _sp_fft().next_fast_len(2 * self.n - 1, real=True)
         spec = _rfft_rows(self._centered, nfft)
         spec.setflags(write=False)
         return spec, nfft
@@ -151,6 +160,7 @@ def _lag_cov_block(chain: SampleMatrix, kmax: int) -> np.ndarray:
     inverse transform per leading component keeps peak memory at O(nfft * p).
     """
     n, p = chain.n, chain.p
+    sp_fft = _sp_fft()
     nfft = sp_fft.next_fast_len(n + kmax, real=True)
     spec = _rfft_rows(chain._centered, nfft)
     out = np.empty((kmax + 1, p, p))

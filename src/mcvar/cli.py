@@ -13,6 +13,7 @@ import io
 import json
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,20 +58,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+NPY_MAGIC = b"\x93NUMPY"
+
+
 @dataclass(frozen=True)
 class ChainFile:
     path: str
     delimiter: str
     header: bool
     columns: tuple[int, ...] | None = None
+    npy: bool = False
 
 
 def sniff_chain_file(path: str, columns: str | None = None) -> ChainFile:
+    """Detect a .npy array by its magic bytes (whatever the suffix), else
+    the delimiter and header of UTF-8 CSV/TSV text from its first line."""
+    cols = None
+    if columns:
+        try:
+            cols = tuple(int(c) for c in columns.split(","))
+        except ValueError as exc:
+            raise ChainFileError(f"bad column selection {columns!r}") from exc
     try:
-        with open(path) as fh:
-            first = fh.readline()
+        with open(path, "rb") as fh:
+            if fh.read(len(NPY_MAGIC)) == NPY_MAGIC:
+                return ChainFile(path=path, delimiter="", header=False, columns=cols, npy=True)
+            fh.seek(0)
+            first = fh.readline().decode("utf-8")
     except OSError as exc:
         raise ChainFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ChainFileError(f"{path} is not UTF-8 text: {exc}") from exc
     if not first.strip():
         raise ChainFileError(f"{path} is empty")
     delimiter = "\t" if "\t" in first else ","
@@ -84,21 +102,35 @@ def sniff_chain_file(path: str, columns: str | None = None) -> ChainFile:
             return False
 
     header = not all(numeric(f) for f in fields)
-    cols = None
-    if columns:
-        try:
-            cols = tuple(int(c) for c in columns.split(","))
-        except ValueError as exc:
-            raise ChainFileError(f"bad column selection {columns!r}") from exc
     return ChainFile(path=path, delimiter=delimiter, header=header, columns=cols)
 
 
-def load_chain(spec: ChainFile) -> SampleMatrix:
+def _read_npy(path: str) -> np.ndarray:
+    """An n x p array from a .npy file; never unpickles, always reads into memory."""
     try:
-        data = np.loadtxt(spec.path, delimiter=spec.delimiter,
-                          skiprows=1 if spec.header else 0, ndmin=2)
+        data = np.load(path, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise ChainFileError(f"cannot parse {path}: {exc}") from exc
+    if data.dtype.kind not in "biuf":
+        raise ChainFileError(f"{path}: need a numeric array, got dtype {data.dtype}")
+    if data.ndim not in (1, 2):
+        raise ChainFileError(f"{path}: need a 1- or 2-dimensional array, got ndim={data.ndim}")
+    return data.reshape(-1, 1) if data.ndim == 1 else data
+
+
+def _read_text(spec: ChainFile) -> np.ndarray:
+    try:
+        with warnings.catch_warnings():
+            # a header-only file: the n >= 2 check in SampleMatrix reports it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(spec.path, delimiter=spec.delimiter,
+                              skiprows=1 if spec.header else 0, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ChainFileError(f"cannot parse {spec.path}: {exc}") from exc
+
+
+def load_chain(spec: ChainFile) -> SampleMatrix:
+    data = _read_npy(spec.path) if spec.npy else _read_text(spec)
     if spec.columns is not None:
         if any(c < 0 or c >= data.shape[1] for c in spec.columns):
             raise ChainFileError(f"column selection {spec.columns} out of range for {data.shape[1]} columns")

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.special import gammaincinv, gammaln
 
 from .chain import SampleMatrix, sample_covariance
 from .lrv import LrvEstimate, NotPositiveDefinite, chol_logdet, matrix_of
@@ -85,6 +83,8 @@ def chi2_quantile(prob: float, df: int) -> float:
         raise ValueError(f"probability must lie in (0, 1), got {prob}")
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    from scipy.special import gammaincinv
+
     return float(2.0 * gammaincinv(df / 2.0, prob))
 
 
@@ -97,6 +97,8 @@ def _pd_logdet(sigma, what: str) -> float:
 
 def region_volume(sigma: LrvEstimate | np.ndarray, n: int, alpha: float) -> float:
     """Volume of the 100(1-alpha)% confidence ellipsoid for the mean vector."""
+    from scipy.special import gammaln
+
     m = matrix_of(sigma)
     p = m.shape[0]
     logdet = _pd_logdet(m, "the long-run variance estimate")
@@ -119,6 +121,8 @@ def region_contains(theta0, theta_bar, sigma: LrvEstimate | np.ndarray, n: int, 
     pd, _, factor = chol_logdet(m)
     if not pd:
         raise NotPositiveDefinite("the long-run variance estimate is not positive definite")
+    from scipy.linalg import cho_solve
+
     d = np.atleast_1d(np.asarray(theta_bar, float)) - np.atleast_1d(np.asarray(theta0, float))
     stat = n * float(d @ cho_solve((factor, True), d))
     return stat < chi2_quantile(1.0 - alpha, p)
@@ -144,6 +148,8 @@ def min_ess(alpha: float, epsilon: float, p: int) -> int:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
+    from scipy.special import gammaln
+
     chi2 = chi2_quantile(1.0 - alpha, p)
     log_m = (
         (2.0 / p) * math.log(2.0)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .batch import default_batch_size, lugsail_batch_means, lugsail_overlapping_batch_means
 from .chain import SampleMatrix, mean_vector
@@ -84,6 +83,8 @@ class BiasTruth:
 
 def ar1_generate(cfg: Ar1Config) -> SampleMatrix:
     """Simulate the AR(1) chain; deterministic given the seed."""
+    from scipy.signal import lfilter
+
     rng = np.random.default_rng(cfg.seed)
     eps = rng.standard_normal(cfg.n)
     x, _ = lfilter([1.0], [1.0, -cfg.phi], eps, zi=[cfg.phi * cfg.x0])

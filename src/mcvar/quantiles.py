@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 from .chain import SampleMatrix
 from .lrv import LugsailConfig, NotPositiveDefinite, chol_logdet, matrix_of
@@ -152,6 +150,8 @@ def estimate_omega(chain: SampleMatrix, targets: list[TargetSpec], estimator=Non
 
 def _genz_batch(lower, upper, factor, points) -> np.ndarray:
     """Sequentially conditioned rectangle integrand on a block of QMC points."""
+    from scipy.special import ndtr, ndtri
+
     p = lower.shape[0]
     m = points.shape[0]
     d = ndtr(lower[0] / factor[0, 0])
@@ -196,6 +196,8 @@ def mvn_rect_prob(center, covariance, rect, tol: float = 1e-3, seed=0) -> float:
         raise NotPositiveDefinite("covariance is not positive definite") from None
 
     if p == 1:
+        from scipy.special import ndtr
+
         sd = factor[0, 0]
         return float(ndtr(upper[0] / sd) - ndtr(lower[0] / sd))
 
@@ -205,6 +207,8 @@ def mvn_rect_prob(center, covariance, rect, tol: float = 1e-3, seed=0) -> float:
     order = np.argsort(width, kind="stable")
     lower, upper = lower[order], upper[order]
     factor = np.linalg.cholesky(cov[np.ix_(order, order)])
+
+    from scipy.stats import qmc
 
     ss = np.random.SeedSequence(seed)
     n_shifts = 10

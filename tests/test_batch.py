@@ -219,6 +219,13 @@ class TestExactAr1Bias:
         with pytest.raises(ValueError, match="multiple"):
             bm_exact_bias_ar1(0.5, 1001, 10)
 
+    @pytest.mark.parametrize("b", [0, -5])
+    def test_rejects_non_positive_batch_size(self, b):
+        with pytest.raises(ValueError, match=f"batch size must be >= 1, got {b}"):
+            bm_exact_bias_ar1(0.5, 100, b)
+        with pytest.raises(ValueError, match=f"batch size must be >= 1, got {b}"):
+            lugsail_exact_bias_ar1(0.5, 100, b, 2.0, 0.5)
+
     def test_monte_carlo_agreement(self, rng):
         # stationary start so the finite-sample formula applies exactly
         from scipy.signal import lfilter

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,74 @@ class TestChainFiles:
         f.write_text("1,2\n3\n")
         with pytest.raises(Exception):
             load_chain(sniff_chain_file(str(f)))
+
+    def test_npy_detected_by_magic_not_suffix(self, tmp_path):
+        values = np.arange(12.0).reshape(4, 3)
+        f = tmp_path / "chain.dat"
+        with open(f, "wb") as fh:
+            np.save(fh, values)
+        spec = sniff_chain_file(str(f), columns="2,0")
+        assert spec.npy
+        assert np.array_equal(load_chain(spec).values, values[:, [2, 0]])
+
+    def test_one_dimensional_npy_is_one_column(self, tmp_path):
+        f = tmp_path / "x.npy"
+        np.save(f, np.arange(5.0))
+        assert load_chain(sniff_chain_file(str(f))).values.shape == (5, 1)
+
+
+def single_input_error(capsys, path) -> str:
+    """Run estimate on path with every warning recorded; it must exit 2 with
+    one stderr line and no warning.  Returns that line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "estimate", str(path))
+    assert [str(w.message) for w in caught] == []
+    assert code == EXIT_INPUT and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("mcvar: input error: ")
+    return err
+
+
+class TestInputErrors:
+    def test_npy_matches_csv(self, capsys, tmp_path, ar1_file):
+        f = tmp_path / "ar1.npy"
+        np.save(f, np.loadtxt(ar1_file, delimiter=","))
+        reports = []
+        for path in (ar1_file, str(f)):
+            code, out, _ = run(capsys, "estimate", path, "--method", "sv", "--columns", "0")
+            assert code == EXIT_OK
+            reports.append({k: v for k, v in json.loads(out).items() if k != "wall_time_s"})
+        assert reports[0] == reports[1]
+
+    def test_non_utf8_text(self, capsys, tmp_path):
+        f = tmp_path / "latin.csv"
+        f.write_bytes(b"\xff\xfe1,2\n3,4\n")
+        assert "is not UTF-8 text" in single_input_error(capsys, f)
+
+    def test_header_only(self, capsys, tmp_path):
+        f = tmp_path / "h.csv"
+        f.write_text("a,b\n")
+        assert "need at least 2 iterations, got 0" in single_input_error(capsys, f)
+
+    @pytest.mark.parametrize("array, message", [
+        (np.array([{"x": 1.0}, 2.0], dtype=object), "Object arrays cannot be loaded"),
+        (np.array([["1", "2"], ["3", "4"]]), "need a numeric array"),
+        (np.ones((3, 2), complex), "need a numeric array"),
+        (np.zeros((4, 2, 2)), "need a 1- or 2-dimensional array, got ndim=3"),
+        (np.float64(1.0), "need a 1- or 2-dimensional array, got ndim=0"),
+    ])
+    def test_bad_npy_arrays(self, capsys, tmp_path, array, message):
+        f = tmp_path / "bad.npy"
+        np.save(f, array, allow_pickle=True)
+        assert message in single_input_error(capsys, f)
+
+    def test_truncated_npy(self, capsys, tmp_path):
+        f = tmp_path / "t.npy"
+        np.save(f, np.ones((100, 2)))
+        data = f.read_bytes()
+        for cut in (6, 40, len(data) - 8):
+            f.write_bytes(data[:cut])
+            assert "cannot parse" in single_input_error(capsys, f)
 
 
 class TestEstimateCommand:

@@ -1,8 +1,10 @@
 """Seeded CLI output pinned against a committed golden file.
 
-Each command runs on the same seeded 2000 x 3 AR(1, phi=0.9) chain.  The
-exit code and the first stderr line must match exactly; stdout must match
-with floats within 1e-12 relative, ignoring `wall_time_s`.
+Each command runs on the same seeded 2000 x 3 AR(1, phi=0.9) chain, saved as
+CSV and as .npy, or on one of a few malformed input files.  The exit code
+and the first stderr line (with each input's path put back as its
+placeholder) must match exactly; stdout must match with floats within 1e-12
+relative, ignoring `wall_time_s`.
 
 After a deliberate change of output, regenerate the golden file with
 
@@ -25,7 +27,9 @@ from scipy.signal import lfilter
 from mcvar.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("data") / "cli_golden.json"
-CHAIN = "{chain}"  # placeholder for the chain file's path in the golden argv
+CHAIN = "{chain}"  # placeholders for the input files' paths in the golden argv
+NPY = "{chain.npy}"
+BAD_INPUTS = ("{non-utf8.csv}", "{header-only.csv}", "{pickled.npy}", "{3d.npy}", "{text.npy}", "{truncated.npy}")
 REGIMES = ("none", "zero", "adaptive", "over")
 FAMILIES = ("bm", "obm", "sv")
 WINDOWS = ("bartlett", "bartlett-flattop", "tukey-hanning", "quadratic-spectral")
@@ -54,19 +58,39 @@ COMMANDS = [
     *[["estimate", CHAIN, "--method", m, "--lugsail", "over", "--b", "2"] for m in FAMILIES],
     _custom("bm", "0.5", "0.5"),
     *[_custom(m, r, "0.5") for m in FAMILIES for r in ("inf", "nan")],
+    # .npy input, and input errors (exit 2)
+    *[["estimate", NPY, "--method", m] for m in (*FAMILIES, "initseq")],
+    ["estimate", NPY, "--columns", "2,0", "--lugsail", "over"],
+    ["stopcheck", NPY, "--lugsail", "over", "--eps", "0.5", "--nstar", "100"],
+    ["estimate", NPY, "--columns", "3"],
+    *[["estimate", path, "--method", "bm"] for path in BAD_INPUTS],
 ]
 
 
-def write_chain(path) -> str:
+def write_inputs(directory: pathlib.Path) -> dict[str, str]:
+    """Write every input file into directory; returns placeholder -> path."""
     eps = np.random.default_rng(2024).standard_normal((2000, 3))
     values, _ = lfilter([1.0], [1.0, -0.9], eps, axis=0, zi=np.zeros((1, 3)))
-    np.savetxt(path, values, delimiter=",")
-    return str(path)
+    paths = {key: str(directory / key.strip("{}")) for key in (CHAIN, NPY, *BAD_INPUTS)}
+    paths[CHAIN] += ".csv"
+    np.savetxt(paths[CHAIN], values, delimiter=",")
+    np.save(paths[NPY], values)
+    pathlib.Path(paths["{non-utf8.csv}"]).write_bytes(b"\xff\xfe1,2\n3,4\n")
+    pathlib.Path(paths["{header-only.csv}"]).write_text("x0,x1,x2\n")
+    for key, array in (("{pickled.npy}", np.array([{"x": 1.0}, 2.0], dtype=object)),
+                       ("{3d.npy}", np.zeros((4, 3, 2))),
+                       ("{text.npy}", np.array([["1.0", "2.0"], ["3.0", "4.0"]]))):
+        with open(paths[key], "wb") as fh:
+            np.save(fh, array, allow_pickle=True)
+    data = pathlib.Path(paths[NPY]).read_bytes()
+    pathlib.Path(paths["{truncated.npy}"]).write_bytes(data[: len(data) // 2])
+    return paths
 
 
-def run(argv: list[str]) -> dict:
+def run(argv: list[str], paths: dict[str, str]) -> dict:
     """Run one command in-process; an uncaught exception counts as the
     console script would report it, exit 1 with a traceback."""
+    argv = [paths.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -81,11 +105,14 @@ def run(argv: list[str]) -> dict:
             stdout.pop("wall_time_s", None)
     else:
         stdout = [line.split(",", 1) for line in text.splitlines() if not line.startswith("wall_time_s,")]
-    return {"exit": code, "stderr": (err.getvalue().splitlines() or [""])[0], "stdout": stdout}
+    stderr = (err.getvalue().splitlines() or [""])[0]
+    for key, path in paths.items():
+        stderr = stderr.replace(path, key)
+    return {"exit": code, "stderr": stderr, "stdout": stdout}
 
 
-def record(chain: str) -> list[dict]:
-    return [{"argv": argv, **run([chain if a == CHAIN else a for a in argv])} for argv in COMMANDS]
+def record(paths: dict[str, str]) -> list[dict]:
+    return [{"argv": argv, **run(argv, paths)} for argv in COMMANDS]
 
 
 def same(got, want, where: str) -> list[str]:
@@ -113,7 +140,7 @@ def same(got, want, where: str) -> list[str]:
 def test_cli_output_matches_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert [g["argv"] for g in golden] == COMMANDS
-    got = record(write_chain(tmp_path / "ar1.csv"))
+    got = record(write_inputs(tmp_path))
     diffs = []
     for g, w in zip(got, golden):
         cmd = " ".join(w["argv"])
@@ -125,7 +152,7 @@ def test_cli_output_matches_golden(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        rows = record(write_chain(pathlib.Path(tmp) / "ar1.csv"))
+        rows = record(write_inputs(pathlib.Path(tmp)))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(rows, indent=1) + "\n")
     print(f"wrote {GOLDEN} ({len(rows)} commands)", file=sys.stderr)
