@@ -4,7 +4,8 @@ Each command runs on the same seeded 2000 x 3 AR(1, phi=0.9) chain, saved as
 CSV and as .npy, or on one of a few malformed input files.  The exit code
 and the first stderr line (with each input's path put back as its
 placeholder) must match exactly; stdout must match with floats within 1e-12
-relative, ignoring `wall_time_s`.
+relative, ignoring the timings `wall_time_s` and `median_seconds`.  The
+`experiment` commands run at toy sizes on their own seeded chains.
 
 After a deliberate change of output, regenerate the golden file with
 
@@ -32,6 +33,7 @@ NPY = "{chain.npy}"
 BAD_INPUTS = ("{non-utf8.csv}", "{header-only.csv}", "{pickled.npy}", "{3d.npy}", "{text.npy}", "{truncated.npy}")
 REGIMES = ("none", "zero", "adaptive", "over")
 FAMILIES = ("bm", "obm", "sv")
+TIMINGS = ("wall_time_s", "median_seconds")
 WINDOWS = ("bartlett", "bartlett-flattop", "tukey-hanning", "quadratic-spectral")
 
 
@@ -58,6 +60,16 @@ COMMANDS = [
     *[["estimate", CHAIN, "--method", m, "--lugsail", "over", "--b", "2"] for m in FAMILIES],
     _custom("bm", "0.5", "0.5"),
     *[_custom(m, r, "0.5") for m in FAMILIES for r in ("inf", "nan")],
+    # experiments at toy sizes
+    ["experiment", "ar1-coverage", "--phi", "0.9", "--n-grid", "500,1000", "--reps", "8", "--seed", "3",
+     "--methods", "bm,sv"],
+    ["experiment", "ar1-ess", "--phi", "0.5", "--n-grid", "1000", "--reps", "5", "--seed", "3",
+     "--methods", "bm,sv", "--out", "json"],
+    ["experiment", "mixture", "--n", "2000", "--seed", "2"],
+    ["experiment", "mixture", "--n", "2000", "--seed", "2", "--out", "csv"],
+    ["experiment", "logistic", "--n", "1000", "--n-obs", "50", "--p-coef", "3", "--seed", "2"],
+    *[["experiment", "bench", "--n", "1000", "--p-coef", "2", "--reps", "1", "--seed", "1", "--out", out]
+      for out in ("json", "csv")],
     # .npy input, and input errors (exit 2)
     *[["estimate", NPY, "--method", m] for m in (*FAMILIES, "initseq")],
     ["estimate", NPY, "--columns", "2,0", "--lugsail", "over"],
@@ -101,10 +113,16 @@ def run(argv: list[str], paths: dict[str, str]) -> dict:
     text = out.getvalue()
     if text.startswith(("{", "[")):
         stdout = json.loads(text)
-        if isinstance(stdout, dict):
-            stdout.pop("wall_time_s", None)
+        for report in stdout if isinstance(stdout, list) else [stdout]:
+            for key in TIMINGS:
+                report.pop(key, None)
     else:
-        stdout = [line.split(",", 1) for line in text.splitlines() if not line.startswith("wall_time_s,")]
+        lines = text.splitlines()
+        header = lines[0].split(",") if lines else []
+        if "median_seconds" in header:  # a table: drop the timing column
+            i = header.index("median_seconds")
+            lines = [",".join(f[:i] + f[i + 1:]) for f in (line.split(",") for line in lines)]
+        stdout = [line.split(",", 1) for line in lines if not line.startswith("wall_time_s,")]
     stderr = (err.getvalue().splitlines() or [""])[0]
     for key, path in paths.items():
         stderr = stderr.replace(path, key)
