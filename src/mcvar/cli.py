@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -23,8 +22,10 @@ from .chain import SampleMatrix, mean_vector
 from .diagnostics import NotPositiveDefinite, StoppingConfig, ess, fixed_volume_check, mcse, min_ess
 from .experiments import (
     METHODS,
+    Ar1Config,
     MixtureConfig,
     ar1_chain_factory,
+    ar1_generate,
     ar1_truth,
     coverage_study,
     ess_study,
@@ -173,38 +174,18 @@ def _flat_items(payload: dict):
             yield key, value
 
 
-def emit_report_csv(payload: dict) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in _flat_items(_jsonable(payload)):
-        writer.writerow([key, repr(value) if isinstance(value, float) else value])
-    sys.stdout.write(buf.getvalue())
-
-
-def emit_rows(rows: list[dict], out: str) -> None:
+def emit(report, out: str) -> None:
+    """Write a report to stdout: JSON, else a list of rows as a CSV table or
+    a dict as key,value lines.  csv writes floats as repr, round-trip exact."""
     if out == "json":
-        emit_json(rows)
+        emit_json(report)
         return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if rows:
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            values = [_jsonable(row[k]) for k in header]
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
-    sys.stdout.write(buf.getvalue())
-
-
-def add_estimator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=METHODS, default="bm")
-    parser.add_argument("--window", default=None,
-                        help="lag window for --method sv (bartlett, bartlett-flattop, tukey-hanning, quadratic-spectral)")
-    parser.add_argument("--lugsail", choices=[*REGIMES, "custom"], default="none")
-    parser.add_argument("--r", type=float, default=None, help="lugsail ratio (only with --lugsail custom)")
-    parser.add_argument("--c", type=float, default=None, help="lugsail weight (only with --lugsail custom)")
-    parser.add_argument("--b", type=int, default=None, help="batch size / truncation point (default: floor(sqrt(n)))")
+    report = _jsonable(report)
+    if isinstance(report, dict):
+        rows = [["key", "value"], *_flat_items(report)]
+    else:
+        rows = [list(report[0]), *([row[k] for k in report[0]] for row in report)] if report else []
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def estimator_from_args(args) -> tuple:
@@ -223,71 +204,6 @@ def estimator_from_args(args) -> tuple:
     if args.lugsail == "custom":
         meta["r"], meta["c"] = args.r, args.c
     return estimator, meta
-
-
-def cmd_estimate(args) -> int:
-    estimator, meta = estimator_from_args(args)
-    chain = load_chain(sniff_chain_file(args.file, args.columns))
-    t0 = time.perf_counter()
-    estimate = estimator(chain)
-    errors = mcse(estimate, chain.n)
-    try:
-        ess_val = ess(chain, estimate)
-    except NotPositiveDefinite:
-        ess_val = None
-    wall = time.perf_counter() - t0
-    meta = dict(meta)
-    meta["b"] = estimate.b
-    if estimate.lugsail is not None:
-        meta["r"], meta["c"] = estimate.lugsail.r, estimate.lugsail.c
-    report = {
-        "method": meta,
-        "n": chain.n,
-        "p": chain.p,
-        "sigma": estimate.matrix,
-        "psd": estimate.psd,
-        "mcse": errors,
-        "ess": None if ess_val is None else float(ess_val),
-        "ess_per_n": None if ess_val is None else float(ess_val) / chain.n,
-        "wall_time_s": wall,
-        "mean": mean_vector(chain),
-    }
-    if args.out == "json":
-        emit_json(report)
-    else:
-        emit_report_csv(report)
-    return EXIT_OK
-
-
-def cmd_ess(args) -> int:
-    estimator, meta = estimator_from_args(args)
-    chain = load_chain(sniff_chain_file(args.file, args.columns))
-    value = ess(chain, estimator(chain))
-    emit_json({"method": meta, "n": chain.n, "p": chain.p, "ess": value, "ess_per_n": value / chain.n})
-    return EXIT_OK
-
-
-def cmd_miness(args) -> int:
-    print(min_ess(args.alpha, args.eps, args.p))
-    return EXIT_OK
-
-
-def cmd_stopcheck(args) -> int:
-    estimator, meta = estimator_from_args(args)
-    chain = load_chain(sniff_chain_file(args.file, args.columns))
-    config = StoppingConfig(alpha=args.alpha, epsilon=args.eps, n_star=args.nstar)
-    decision = fixed_volume_check(chain, estimator(chain), config)
-    emit_json({
-        "method": meta,
-        "terminate": decision.terminate,
-        "lhs": decision.lhs,
-        "rhs": decision.rhs,
-        "ess": decision.ess,
-        "min_ess": decision.min_ess,
-        "n": decision.n,
-        "n_star": decision.n_star,
-    })
-    return EXIT_OK if decision.terminate else EXIT_CONTINUE
 
 
 def parse_targets(text: str) -> list[TargetSpec]:
@@ -309,110 +225,156 @@ def parse_targets(text: str) -> list[TargetSpec]:
     return targets
 
 
-def cmd_simci(args) -> int:
+def run_chain_command(args) -> int:
+    """estimate, ess, stopcheck and simci: flags, then targets, then the chain
+    file are checked in that order; args.report builds the report and exit code."""
     estimator, meta = estimator_from_args(args)
-    targets = parse_targets(args.targets)
+    targets = parse_targets(args.targets) if args.command == "simci" else None
     chain = load_chain(sniff_chain_file(args.file, args.columns))
+    report, code = args.report(args, chain, estimator, meta, targets)
+    emit(report, args.out)
+    return code
+
+
+def _estimate_report(args, chain, estimator, meta, targets):
+    t0 = time.perf_counter()
+    estimate = estimator(chain)
+    errors = mcse(estimate, chain.n)
+    try:
+        ess_val = float(ess(chain, estimate))
+    except NotPositiveDefinite:
+        ess_val = None
+    wall = time.perf_counter() - t0
+    meta = dict(meta, b=estimate.b)
+    if estimate.lugsail is not None:
+        meta["r"], meta["c"] = estimate.lugsail.r, estimate.lugsail.c
+    return {
+        "method": meta,
+        "n": chain.n,
+        "p": chain.p,
+        "sigma": estimate.matrix,
+        "psd": estimate.psd,
+        "mcse": errors,
+        "ess": ess_val,
+        "ess_per_n": None if ess_val is None else ess_val / chain.n,
+        "wall_time_s": wall,
+        "mean": mean_vector(chain),
+    }, EXIT_OK
+
+
+def _ess_report(args, chain, estimator, meta, targets):
+    value = ess(chain, estimator(chain))
+    return {"method": meta, "n": chain.n, "p": chain.p, "ess": value, "ess_per_n": value / chain.n}, EXIT_OK
+
+
+def _stopcheck_report(args, chain, estimator, meta, targets):
+    config = StoppingConfig(alpha=args.alpha, epsilon=args.eps, n_star=args.nstar)
+    decision = fixed_volume_check(chain, estimator(chain), config)
+    return {
+        "method": meta,
+        "terminate": decision.terminate,
+        "lhs": decision.lhs,
+        "rhs": decision.rhs,
+        "ess": decision.ess,
+        "min_ess": decision.min_ess,
+        "n": decision.n,
+        "n_star": decision.n_star,
+    }, EXIT_OK if decision.terminate else EXIT_CONTINUE
+
+
+def _simci_report(args, chain, estimator, meta, targets):
     joint = estimate_omega(chain, targets, estimator)
     region = solve_z_star(joint, args.alpha, seed=args.seed)
-    emit_json({
+    return {
         "method": meta,
         "alpha": args.alpha,
         "z_star": region.z_star,
         "targets": [t.label() for t in targets],
-        "nu_hat": _jsonable(joint.nu_hat),
-        "intervals": _jsonable(region.intervals),
-    })
+        "nu_hat": joint.nu_hat,
+        "intervals": region.intervals,
+    }, EXIT_OK
+
+
+def cmd_miness(args) -> int:
+    print(min_ess(args.alpha, args.eps, args.p))
     return EXIT_OK
 
 
-def _experiment_rows(args) -> list[dict]:
-    n_grid = [int(x) for x in args.n_grid.split(",")] if args.n_grid else [args.n]
-    grid = standard_grid(methods=tuple(args.methods.split(",")))
-    if args.name == "ar1-coverage":
-        return coverage_study(ar1_chain_factory(args.phi), 0.0, grid, n_grid,
-                              args.reps, args.seed, alpha=args.alpha)
-    if args.name == "ar1-ess":
-        return ess_study(ar1_chain_factory(args.phi), ar1_truth(args.phi), grid, n_grid,
-                         args.reps, args.seed)
-    raise ValueError(f"unknown experiment {args.name!r}")
-
-
 def cmd_experiment(args) -> int:
-    if args.name in ("ar1-coverage", "ar1-ess"):
-        emit_rows(_experiment_rows(args), args.out)
-        return EXIT_OK
-    if args.name == "mixture":
-        chain = mixture_mh_generate(MixtureConfig(n=args.n, seed=args.seed, proposal_sd=args.proposal_sd))
-        estimator = make_estimator("bm", lugsail="over")
-        estimate = estimator(chain)
-        emit_json({
-            "n": chain.n,
-            "mean": float(mean_vector(chain)[0]),
-            "mcse": float(mcse(estimate, chain.n)[0]),
-            "ess": float(ess(chain, estimate)),
-            "lag1_autocorrelation": lag1_autocorrelation(chain),
-            "acceptance_rate": mh_acceptance_rate(chain),
-        })
-        return EXIT_OK
-    if args.name == "logistic":
-        chain = logistic_mh_generate(args.n_obs, args.p_coef, args.n, seed=args.seed)
-        estimator = make_estimator("bm", lugsail="over")
-        estimate = estimator(chain)
-        emit_json({
-            "n": chain.n,
-            "p": chain.p,
-            "posterior_mean": _jsonable(mean_vector(chain)),
-            "mcse": _jsonable(mcse(estimate, chain.n)),
-            "ess": float(ess(chain, estimate)),
-        })
+    if args.name in ("mixture", "logistic"):
+        if args.name == "mixture":
+            chain = mixture_mh_generate(MixtureConfig(n=args.n, seed=args.seed, proposal_sd=args.proposal_sd))
+        else:
+            chain = logistic_mh_generate(args.n_obs, args.p_coef, args.n, seed=args.seed)
+        # the bm-over summary both samplers report
+        estimate = make_estimator("bm", lugsail="over")(chain)
+        mean, errors, ess_val = mean_vector(chain), mcse(estimate, chain.n), float(ess(chain, estimate))
+        if args.name == "mixture":
+            report = {"n": chain.n, "mean": float(mean[0]), "mcse": float(errors[0]), "ess": ess_val,
+                      "lag1_autocorrelation": lag1_autocorrelation(chain),
+                      "acceptance_rate": mh_acceptance_rate(chain)}
+        else:
+            report = {"n": chain.n, "p": chain.p, "posterior_mean": mean, "mcse": errors, "ess": ess_val}
+        emit(report, "json")
         return EXIT_OK
     if args.name == "bench":
-        rng = np.random.default_rng(args.seed)
-        eps = rng.standard_normal((args.n, args.p_coef))
-        from scipy.signal import lfilter
-
-        values, _ = lfilter([1.0], [1.0, -0.9], eps, axis=0, zi=np.zeros((1, args.p_coef)))
-        chain = SampleMatrix(values)
-        grid = standard_grid(methods=("bm", "sv", "initseq"))
-        emit_rows(timing_bench(chain, grid, repetitions=args.reps), args.out)
-        return EXIT_OK
-    raise ValueError(f"unknown experiment {args.name!r}")
+        chain = ar1_generate(Ar1Config(phi=0.9, n=args.n, seed=args.seed, p=args.p_coef))
+        report = timing_bench(chain, standard_grid(methods=("bm", "sv", "initseq")), repetitions=args.reps)
+    else:
+        n_grid = [int(x) for x in args.n_grid.split(",")] if args.n_grid else [args.n]
+        grid = standard_grid(methods=tuple(args.methods.split(",")))
+        if args.name == "ar1-coverage":
+            report = coverage_study(ar1_chain_factory(args.phi), 0.0, grid, n_grid,
+                                    args.reps, args.seed, alpha=args.alpha)
+        else:
+            report = ess_study(ar1_chain_factory(args.phi), ar1_truth(args.phi), grid, n_grid,
+                               args.reps, args.seed)
+    emit(report, args.out)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mcvar", description="MCMC long-run variance estimation and output analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def chain_command(name, help):
+    def chain_command(name, help, report):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run_chain_command, report=report, out="json")
         p.add_argument("file")
         p.add_argument("--columns", default=None, help="comma-separated column indices to keep")
-        add_estimator_flags(p)
+        p.add_argument("--method", choices=METHODS, default="bm")
+        p.add_argument("--window", default=None,
+                       help="lag window for --method sv (bartlett, bartlett-flattop, tukey-hanning, quadratic-spectral)")
+        p.add_argument("--lugsail", choices=[*REGIMES, "custom"], default="none")
+        p.add_argument("--r", type=float, default=None, help="lugsail ratio (only with --lugsail custom)")
+        p.add_argument("--c", type=float, default=None, help="lugsail weight (only with --lugsail custom)")
+        p.add_argument("--b", type=int, default=None, help="batch size / truncation point (default: floor(sqrt(n)))")
         return p
 
-    p_est = chain_command("estimate", "estimate the long-run covariance of a chain file")
+    p_est = chain_command("estimate", "estimate the long-run covariance of a chain file", _estimate_report)
     p_est.add_argument("--out", choices=["json", "csv"], default="json")
 
-    chain_command("ess", "effective sample size of a chain file")
+    chain_command("ess", "effective sample size of a chain file", _ess_report)
 
     p_min = sub.add_parser("miness", help="minimum ESS needed for the fixed-volume rule")
+    p_min.set_defaults(run=cmd_miness)
     p_min.add_argument("--alpha", type=float, default=0.05)
     p_min.add_argument("--eps", type=float, default=0.05)
     p_min.add_argument("--p", type=int, default=1)
 
-    p_stop = chain_command("stopcheck", "evaluate the relative fixed-volume stopping rule")
+    p_stop = chain_command("stopcheck", "evaluate the relative fixed-volume stopping rule", _stopcheck_report)
     p_stop.add_argument("--alpha", type=float, default=0.05)
     p_stop.add_argument("--eps", type=float, default=0.05)
     p_stop.add_argument("--nstar", type=int, default=None)
 
-    p_sim = chain_command("simci", "simultaneous confidence intervals for means and quantiles")
+    p_sim = chain_command("simci", "simultaneous confidence intervals for means and quantiles", _simci_report)
     p_sim.add_argument("--targets", required=True,
                        help='e.g. "mean:0,quant:0:0.1,quant:0:0.9"')
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--seed", type=int, default=0)
 
     p_exp = sub.add_parser("experiment", help="run a replication study or benchmark")
+    p_exp.set_defaults(run=cmd_experiment)
     p_exp.add_argument("name", choices=["ar1-coverage", "ar1-ess", "mixture", "logistic", "bench"])
     p_exp.add_argument("--phi", type=float, default=0.92)
     p_exp.add_argument("--n", type=int, default=50000)
@@ -428,16 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "estimate": cmd_estimate,
-    "ess": cmd_ess,
-    "miness": cmd_miness,
-    "stopcheck": cmd_stopcheck,
-    "simci": cmd_simci,
-    "experiment": cmd_experiment,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -445,7 +397,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except ChainFileError as exc:
         print(f"mcvar: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

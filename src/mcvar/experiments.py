@@ -26,18 +26,22 @@ Estimator = Callable[[SampleMatrix], LrvEstimate]
 
 @dataclass(frozen=True)
 class Ar1Config:
-    """Normal AR(1): x_{t+1} = phi * x_t + standard normal innovation."""
+    """Normal AR(1): x_{t+1} = phi * x_t + standard normal innovation, in p
+    independent columns that all start at x0."""
 
     phi: float
     n: int
     seed: int | np.random.SeedSequence = 0
     x0: float = 0.0
+    p: int = 1
 
     def __post_init__(self):
         if not abs(self.phi) < 1:
             raise ValueError(f"need |phi| < 1, got {self.phi}")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
+        if self.p < 1:
+            raise ValueError(f"need p >= 1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,8 @@ def ar1_generate(cfg: Ar1Config) -> SampleMatrix:
     from scipy.signal import lfilter
 
     rng = np.random.default_rng(cfg.seed)
-    eps = rng.standard_normal(cfg.n)
-    x, _ = lfilter([1.0], [1.0, -cfg.phi], eps, zi=[cfg.phi * cfg.x0])
+    eps = rng.standard_normal((cfg.n, cfg.p))
+    x, _ = lfilter([1.0], [1.0, -cfg.phi], eps, axis=0, zi=np.full((1, cfg.p), cfg.phi * cfg.x0))
     return SampleMatrix(x)
 
 

@@ -41,9 +41,18 @@ class TestAr1Generator:
         chain = ar1_generate(cfg)
         assert chain.values[0, 0] > 40.0
 
+    def test_columns_are_independent_recursions_from_x0(self):
+        x = ar1_generate(Ar1Config(phi=0.6, n=50, seed=9, x0=2.0, p=3)).values
+        eps = np.random.default_rng(9).standard_normal((50, 3))
+        previous = np.vstack([np.full((1, 3), 2.0), x[:-1]])
+        assert x.shape == (50, 3)
+        assert np.allclose(x, 0.6 * previous + eps, rtol=0.0, atol=1e-12)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             Ar1Config(phi=1.0, n=100)
+        with pytest.raises(ValueError, match="need p >= 1"):
+            Ar1Config(phi=0.5, n=100, p=0)
 
 
 class TestAr1Truth:

@@ -4,9 +4,11 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import mcvar
+from mcvar import cli
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(mcvar.__path__))
 
@@ -36,3 +38,33 @@ def test_package_all_resolves():
     missing = [name for name in mcvar.__all__ if not hasattr(mcvar, name)]
     assert not missing
     assert len(set(mcvar.__all__)) == len(mcvar.__all__)
+
+
+# perfbench's tracer rebinds module attributes of mcvar.cli and reads its
+# parse and emit times from spans with these names.
+TRACED_CLI = ("parse_targets", "sniff_chain_file", "load_chain", "emit_json")
+
+
+@pytest.mark.parametrize("name", ("main", *TRACED_CLI))
+def test_cli_names_the_benchmark_traces_are_its_own_functions(name):
+    fn = getattr(cli, name)
+    assert inspect.isfunction(fn)
+    assert (fn.__module__, fn.__name__) == ("mcvar.cli", name)
+
+
+def test_chain_command_calls_traced_names_through_module_attributes(monkeypatch, tmp_path, capsys):
+    """A captured reference would bypass the tracer's rebinding and read 0 s."""
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in TRACED_CLI:
+        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+    path = tmp_path / "chain.csv"
+    np.savetxt(path, np.random.default_rng(1).standard_normal((400, 2)), delimiter=",")
+    assert cli.main(["simci", str(path), "--targets", "mean:0"]) == cli.EXIT_OK
+    assert calls == list(TRACED_CLI)
