@@ -315,9 +315,7 @@ def cmd_experiment(args) -> int:
                       "acceptance_rate": mh_acceptance_rate(chain)}
         else:
             report = {"n": chain.n, "p": chain.p, "posterior_mean": mean, "mcse": errors, "ess": ess_val}
-        emit(report, "json")
-        return EXIT_OK
-    if args.name == "bench":
+    elif args.name == "bench":
         chain = ar1_generate(Ar1Config(phi=0.9, n=args.n, seed=args.seed, p=args.p_coef))
         report = timing_bench(chain, standard_grid(methods=("bm", "sv", "initseq")), repetitions=args.reps)
     else:
