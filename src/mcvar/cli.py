@@ -73,7 +73,8 @@ class ChainFile:
 
 def sniff_chain_file(path: str, columns: str | None = None) -> ChainFile:
     """Detect a .npy array by its magic bytes (whatever the suffix), else
-    the delimiter and header of UTF-8 CSV/TSV text from its first line."""
+    the delimiter and header of UTF-8 CSV/TSV text (an optional byte-order
+    mark is dropped) from its first line."""
     cols = None
     if columns:
         try:
@@ -85,7 +86,7 @@ def sniff_chain_file(path: str, columns: str | None = None) -> ChainFile:
             if fh.read(len(NPY_MAGIC)) == NPY_MAGIC:
                 return ChainFile(path=path, delimiter="", header=False, columns=cols, npy=True)
             fh.seek(0)
-            first = fh.readline().decode("utf-8")
+            first = fh.readline().decode("utf-8-sig")
     except OSError as exc:
         raise ChainFileError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -125,7 +126,7 @@ def _read_text(spec: ChainFile) -> np.ndarray:
             # a header-only file: the n >= 2 check in SampleMatrix reports it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             return np.loadtxt(spec.path, delimiter=spec.delimiter,
-                              skiprows=1 if spec.header else 0, ndmin=2)
+                              skiprows=1 if spec.header else 0, ndmin=2, encoding="utf-8-sig")
     except (OSError, ValueError) as exc:
         raise ChainFileError(f"cannot parse {spec.path}: {exc}") from exc
 

@@ -55,6 +55,14 @@ class TestChainFiles:
         assert spec.header
         assert load_chain(spec).values.shape == (2, 2)
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        f = tmp_path / "bom.csv"
+        for text, header, shape in (("1,2\n3,4\n5,7\n", False, (3, 2)), ("a,b\n1,2\n3,4\n", True, (2, 2))):
+            f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            spec = sniff_chain_file(str(f))
+            assert spec.header == header
+            assert load_chain(spec).values.shape == shape
+
     def test_column_selection(self, tmp_path):
         f = tmp_path / "c.csv"
         f.write_text("1,10,100\n2,20,200\n3,30,300\n")

@@ -1,7 +1,8 @@
 """Seeded CLI output pinned against a committed golden file.
 
 Each command runs on the same seeded 2000 x 3 AR(1, phi=0.9) chain, saved as
-CSV and as .npy, or on one of a few malformed input files.  The exit code
+CSV, as .npy and as variants of the CSV, or on one of a few malformed input
+files.  The exit code
 and the first stderr line (with each input's path put back as its
 placeholder) must match exactly; stdout must match with floats within 1e-12
 relative, ignoring the timings `wall_time_s` and `median_seconds`.  The
@@ -31,6 +32,7 @@ GOLDEN = pathlib.Path(__file__).with_name("data") / "cli_golden.json"
 CHAIN = "{chain}"  # placeholders for the input files' paths in the golden argv
 NPY = "{chain.npy}"
 BAD_INPUTS = ("{non-utf8.csv}", "{header-only.csv}", "{pickled.npy}", "{3d.npy}", "{text.npy}", "{truncated.npy}")
+TEXT_INPUTS = ("{bom.csv}",)  # the chain's CSV with a byte-order mark
 REGIMES = ("none", "zero", "adaptive", "over")
 FAMILIES = ("bm", "obm", "sv")
 TIMINGS = ("wall_time_s", "median_seconds")
@@ -76,6 +78,7 @@ COMMANDS = [
     ["stopcheck", NPY, "--lugsail", "over", "--eps", "0.5", "--nstar", "100"],
     ["estimate", NPY, "--columns", "3"],
     *[["estimate", path, "--method", "bm"] for path in BAD_INPUTS],
+    *[["estimate", path, "--method", "bm"] for path in TEXT_INPUTS],
 ]
 
 
@@ -83,7 +86,7 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     """Write every input file into directory; returns placeholder -> path."""
     eps = np.random.default_rng(2024).standard_normal((2000, 3))
     values, _ = lfilter([1.0], [1.0, -0.9], eps, axis=0, zi=np.zeros((1, 3)))
-    paths = {key: str(directory / key.strip("{}")) for key in (CHAIN, NPY, *BAD_INPUTS)}
+    paths = {key: str(directory / key.strip("{}")) for key in (CHAIN, NPY, *BAD_INPUTS, *TEXT_INPUTS)}
     paths[CHAIN] += ".csv"
     np.savetxt(paths[CHAIN], values, delimiter=",")
     np.save(paths[NPY], values)
@@ -96,6 +99,8 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
             np.save(fh, array, allow_pickle=True)
     data = pathlib.Path(paths[NPY]).read_bytes()
     pathlib.Path(paths["{truncated.npy}"]).write_bytes(data[: len(data) // 2])
+    text = pathlib.Path(paths[CHAIN]).read_bytes()
+    pathlib.Path(paths["{bom.csv}"]).write_bytes(b"\xef\xbb\xbf" + text)
     return paths
 
 
