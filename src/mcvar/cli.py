@@ -69,12 +69,13 @@ class ChainFile:
     header: bool
     columns: tuple[int, ...] | None = None
     npy: bool = False
+    blank_lines: int = 0  # blank lines before the first row, header or data
 
 
 def sniff_chain_file(path: str, columns: str | None = None) -> ChainFile:
     """Detect a .npy array by its magic bytes (whatever the suffix), else
     the delimiter and header of UTF-8 CSV/TSV text (an optional byte-order
-    mark is dropped) from its first line."""
+    mark is dropped) from its first non-blank line."""
     cols = None
     if columns:
         try:
@@ -86,7 +87,12 @@ def sniff_chain_file(path: str, columns: str | None = None) -> ChainFile:
             if fh.read(len(NPY_MAGIC)) == NPY_MAGIC:
                 return ChainFile(path=path, delimiter="", header=False, columns=cols, npy=True)
             fh.seek(0)
-            first = fh.readline().decode("utf-8-sig")
+            blank, first = 0, ""
+            for line in fh:
+                first = line.decode("utf-8-sig")
+                if first.strip():
+                    break
+                blank += 1
     except OSError as exc:
         raise ChainFileError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -104,7 +110,7 @@ def sniff_chain_file(path: str, columns: str | None = None) -> ChainFile:
             return False
 
     header = not all(numeric(f) for f in fields)
-    return ChainFile(path=path, delimiter=delimiter, header=header, columns=cols)
+    return ChainFile(path=path, delimiter=delimiter, header=header, columns=cols, blank_lines=blank)
 
 
 def _read_npy(path: str) -> np.ndarray:
@@ -125,8 +131,9 @@ def _read_text(spec: ChainFile) -> np.ndarray:
         with warnings.catch_warnings():
             # a header-only file: the n >= 2 check in SampleMatrix reports it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return np.loadtxt(spec.path, delimiter=spec.delimiter,
-                              skiprows=1 if spec.header else 0, ndmin=2, encoding="utf-8-sig")
+            # skiprows counts physical lines; loadtxt fails on whitespace-only ones
+            return np.loadtxt(spec.path, delimiter=spec.delimiter, skiprows=spec.blank_lines + spec.header,
+                              ndmin=2, encoding="utf-8-sig")
     except (OSError, ValueError) as exc:
         raise ChainFileError(f"cannot parse {spec.path}: {exc}") from exc
 

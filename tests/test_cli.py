@@ -63,6 +63,19 @@ class TestChainFiles:
             assert spec.header == header
             assert load_chain(spec).values.shape == shape
 
+    @pytest.mark.parametrize("text, header", [
+        ("\n1,2\n3,4\n5,7\n6,1\n", False),
+        ("\n \r\n1,2\n3,4\n\n5,7\n6,1\n", False),
+        ("\n\na,b\n1,2\n3,4\n5,7\n6,1\n", True),
+        ("\n\na\tb\n1\t2\n3\t4\n5\t7\n6\t1\n", True),
+    ])
+    def test_blank_lines_before_the_first_row_are_skipped(self, tmp_path, text, header):
+        f = tmp_path / "blank.csv"
+        f.write_text(text)
+        spec = sniff_chain_file(str(f))
+        assert spec.header == header
+        assert np.array_equal(load_chain(spec).values, [[1, 2], [3, 4], [5, 7], [6, 1]])
+
     def test_column_selection(self, tmp_path):
         f = tmp_path / "c.csv"
         f.write_text("1,10,100\n2,20,200\n3,30,300\n")
@@ -248,6 +261,13 @@ class TestEssCommand:
         f.write_text("")
         code, _, _ = run(capsys, "ess", str(f))
         assert code == EXIT_INPUT
+
+    def test_blank_only_file_is_input_error(self, capsys, tmp_path):
+        f = tmp_path / "blank.csv"
+        f.write_text("\n \n\t\r\n")
+        code, _, err = run(capsys, "ess", str(f))
+        assert code == EXIT_INPUT
+        assert err.endswith("is empty\n")
 
 
 class TestMinEssCommand:

@@ -32,7 +32,9 @@ GOLDEN = pathlib.Path(__file__).with_name("data") / "cli_golden.json"
 CHAIN = "{chain}"  # placeholders for the input files' paths in the golden argv
 NPY = "{chain.npy}"
 BAD_INPUTS = ("{non-utf8.csv}", "{header-only.csv}", "{pickled.npy}", "{3d.npy}", "{text.npy}", "{truncated.npy}")
-TEXT_INPUTS = ("{bom.csv}",)  # the chain's CSV with a byte-order mark
+# the chain's CSV with a byte-order mark, after a blank line, after blank
+# lines and a header; and a file of blank lines only (exit 2)
+TEXT_INPUTS = ("{bom.csv}", "{blank-first.csv}", "{blank-header.csv}", "{blank-only.csv}")
 REGIMES = ("none", "zero", "adaptive", "over")
 FAMILIES = ("bm", "obm", "sv")
 TIMINGS = ("wall_time_s", "median_seconds")
@@ -101,6 +103,9 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     pathlib.Path(paths["{truncated.npy}"]).write_bytes(data[: len(data) // 2])
     text = pathlib.Path(paths[CHAIN]).read_bytes()
     pathlib.Path(paths["{bom.csv}"]).write_bytes(b"\xef\xbb\xbf" + text)
+    pathlib.Path(paths["{blank-first.csv}"]).write_bytes(b"\n" + text)
+    pathlib.Path(paths["{blank-header.csv}"]).write_bytes(b"\n \r\nx0,x1,x2\n" + text)
+    pathlib.Path(paths["{blank-only.csv}"]).write_bytes(b"\n \n\t\n")
     return paths
 
 
