@@ -2,11 +2,11 @@
 
 Each command runs on the same seeded 2000 x 3 AR(1, phi=0.9) chain, saved as
 CSV, as .npy and as variants of the CSV, or on one of a few malformed input
-files.  The exit code
-and the first stderr line (with each input's path put back as its
-placeholder) must match exactly; stdout must match with floats within 1e-12
-relative, ignoring the timings `wall_time_s` and `median_seconds`.  The
-`experiment` commands run at toy sizes on their own seeded chains.
+files.  The exit code and the first stderr line (with each input's path put
+back as its placeholder) must match exactly; stdout must match with floats
+within 1e-12 relative, ignoring the timings `wall_time_s` and
+`median_seconds`.  The `experiment` commands run at toy sizes on their own
+seeded chains.
 
 After a deliberate change of output, regenerate the golden file with
 
