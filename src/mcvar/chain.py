@@ -8,7 +8,9 @@ positive-definiteness structure.
 Every FFT is sized to the lags it returns: lags 0..K of n rows need a
 zero-padded length of at least n + K to avoid circular wrap, so a lag block
 has length scipy.fft.next_fast_len(n + K, real=True) and the cached full
-spectrum next_fast_len(2n - 1, real=True).
+spectrum next_fast_len(2n - 1, real=True).  A lag block of p components
+runs p forward and p(p+1)/2 inverse transforms: one inverse transform per
+unordered pair of components gives both C(k)[i, j] and C(k)[j, i].
 """
 from __future__ import annotations
 
@@ -156,8 +158,11 @@ def _lag_cov_block(chain: SampleMatrix, kmax: int) -> np.ndarray:
     """Lag covariances for k = 0..kmax as a (kmax+1, p, p) array, via FFT.
 
     The centered columns are transformed at length next_fast_len(n + kmax),
-    the shortest that keeps lags 0..kmax free of circular wrap, and one
-    inverse transform per leading component keeps peak memory at O(nfft * p).
+    the shortest that keeps lags 0..kmax free of circular wrap.  The inverse
+    transform of conj(S_j) * S_i holds C(k)[j, i] at index k and
+    C(k)[i, j] = C(-k)[j, i] at index nfft - k (wrap-free too, as nfft >= n + kmax),
+    so only the p(p+1)/2 rows i >= j are transformed, one leading component j
+    at a time to keep peak memory at O(nfft * p).  Lag 0 is filled by symmetry.
     """
     n, p = chain.n, chain.p
     sp_fft = _sp_fft()
@@ -165,16 +170,22 @@ def _lag_cov_block(chain: SampleMatrix, kmax: int) -> np.ndarray:
     spec = _rfft_rows(chain._centered, nfft)
     out = np.empty((kmax + 1, p, p))
     for j in range(p):
-        cross = np.conj(spec[j]) * spec
-        out[:, j, :] = sp_fft.irfft(cross, n=nfft, axis=1, workers=_fft_workers())[:, : kmax + 1].T / n
+        corr = sp_fft.irfft(np.conj(spec[j]) * spec[j:], n=nfft, axis=1, workers=_fft_workers())
+        out[:, j, j:] = corr[:, : kmax + 1].T / n
+        out[1:, j + 1 :, j] = corr[1:, : nfft - kmax - 1 : -1].T / n
+        del corr
+    lower = np.tril_indices(p, -1)
+    out[0][lower] = out[0].T[lower]
     return out
 
 
 def lag_covariances_fft(chain: SampleMatrix, kmax: int) -> list[LagCovariance]:
     """All lag covariances for k = 0..kmax in one FFT pass.
 
-    Agrees with repeated lag_covariance to ~1e-10 per entry but costs
-    O(p^2 (n + kmax) log(n + kmax)) instead of O(p^2 n kmax).
+    Agrees with repeated lag_covariance to ~1e-10 per entry.  It costs p
+    forward and p(p+1)/2 inverse real transforms of length
+    next_fast_len(n + kmax), O(p^2 (n + kmax) log(n + kmax)) in all, instead
+    of the O(p^2 n kmax) of repeated lag_covariance.
     """
     _check_lag(chain, kmax)
     block = _lag_cov_block(chain, kmax)

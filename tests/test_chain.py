@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mcvar import SampleMatrix, lag_covariance, lag_covariances_fft, mean_vector, sample_covariance
+from mcvar.chain import _lag_cov_block
 
 from conftest import naive_lag_cov
 
@@ -161,3 +164,35 @@ class TestLagCovariancesFft:
         block = lag_covariances_fft(s, 2047)
         for k in (0, 1, 2, 63, 512, 2047):
             assert np.abs(block[k].matrix - lag_covariance(s, k).matrix).max() <= 1e-10
+
+
+class TestLagBlockTransforms:
+    """The block inverse-transforms one row per unordered component pair."""
+
+    @pytest.fixture
+    def irfft_rows(self, monkeypatch):
+        import mcvar.chain as chain_module
+
+        real = chain_module._sp_fft()
+        rows = []
+
+        def counting_irfft(x, *args, **kwargs):
+            rows.append(np.atleast_2d(x).shape[0])
+            return real.irfft(x, *args, **kwargs)
+
+        fake = types.SimpleNamespace(rfft=real.rfft, next_fast_len=real.next_fast_len, irfft=counting_irfft)
+        monkeypatch.setattr(chain_module, "_sp_fft", lambda: fake)
+        return rows
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_one_inverse_transform_per_unordered_pair(self, rng, irfft_rows, p):
+        lag_covariances_fft(SampleMatrix(rng.standard_normal((200, p))), 30)
+        assert sum(irfft_rows) == p * (p + 1) // 2
+
+    def test_tail_reaches_the_last_lag(self, rng, irfft_rows):
+        # the raw block, before LagCovariance symmetrizes lag 0
+        s = SampleMatrix(rng.uniform(-10, 10, size=(257, 5)))
+        block = _lag_cov_block(s, s.n - 1)
+        assert sum(irfft_rows) == 15
+        for k in range(s.n):
+            assert np.abs(block[k] - lag_covariance(s, k).matrix).max() <= 1e-10, k
