@@ -127,13 +127,22 @@ def _read_npy(path: str) -> np.ndarray:
 
 
 def _read_text(spec: ChainFile) -> np.ndarray:
+    def parse(source):
+        # skiprows counts physical lines, blank ones included
+        return np.loadtxt(source, delimiter=spec.delimiter, skiprows=spec.blank_lines + spec.header,
+                          ndmin=2, encoding="utf-8-sig")
+
     try:
         with warnings.catch_warnings():
             # a header-only file: the n >= 2 check in SampleMatrix reports it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            # skiprows counts physical lines; loadtxt fails on whitespace-only ones
-            return np.loadtxt(spec.path, delimiter=spec.delimiter, skiprows=spec.blank_lines + spec.header,
-                              ndmin=2, encoding="utf-8-sig")
+            try:
+                return parse(spec.path)
+            except ValueError:
+                # loadtxt skips empty lines but not whitespace-only ones: parse
+                # again with those emptied, so a clean file is read only once
+                with open(spec.path, encoding="utf-8-sig") as fh:
+                    return parse(line if line.strip() else "\n" for line in fh)
     except (OSError, ValueError) as exc:
         raise ChainFileError(f"cannot parse {spec.path}: {exc}") from exc
 

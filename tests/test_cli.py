@@ -76,6 +76,28 @@ class TestChainFiles:
         assert spec.header == header
         assert np.array_equal(load_chain(spec).values, [[1, 2], [3, 4], [5, 7], [6, 1]])
 
+    @pytest.mark.parametrize("text", [
+        "1,2\n3,4\n5,7\n6,1\n  \n",
+        "1,2\n \t \n3,4\n5,7\n\n  \n6,1\n   \n",
+        "a,b\n1,2\n3,4\n \n5,7\n6,1\n",
+    ])
+    def test_whitespace_only_lines_after_the_first_row_are_skipped(self, capsys, tmp_path, text):
+        f = tmp_path / "ws.csv"
+        f.write_text(text)
+        assert np.array_equal(load_chain(sniff_chain_file(str(f))).values, [[1, 2], [3, 4], [5, 7], [6, 1]])
+        code, out, err = run(capsys, "estimate", str(f), "--b", "1")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["n"] == 4
+
+    def test_clean_file_is_parsed_once(self, monkeypatch, tmp_path):
+        f = tmp_path / "clean.csv"
+        f.write_text("1,2\n3,4\n5,7\n")
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        assert load_chain(sniff_chain_file(str(f))).values.shape == (3, 2)
+        assert calls == [(str(f),)]
+
     def test_column_selection(self, tmp_path):
         f = tmp_path / "c.csv"
         f.write_text("1,10,100\n2,20,200\n3,30,300\n")
@@ -404,6 +426,15 @@ class TestExitCodePartition:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("method", ["bm", "obm", "sv", "initseq", "initseq-adj"])
+    def test_chain_too_short_for_its_estimator_is_usage(self, capsys, tmp_path, method):
+        # usage, not input: for bm, obm and sv a --b makes the same file estimable
+        f = tmp_path / "short.csv"
+        f.write_text("1,2\n3,4\n5,7\n")
+        code, out, err = run(capsys, "estimate", str(f), "--method", method)
+        assert code == EXIT_USAGE and out == ""
+        assert err.splitlines() == ["mcvar: usage error: need n >= 4, got 3"]
 
     def test_numerical_failure_exit(self, capsys, tmp_path):
         # antithetic chain: batch means at b=12 vanish exactly, so this
