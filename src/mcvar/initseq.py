@@ -42,7 +42,7 @@ class InitSeqResult:
 def _scan(chain: SampleMatrix):
     """Shared truncation scan: returns (s_n, t_n, partials, pair sums used)."""
     if chain.n < 4:
-        raise ValueError(f"need at least 4 iterations, got {chain.n}")
+        raise ValueError(f"need n >= 4, got {chain.n}")
     limit = chain.n // 2 - 1
     # A pass costs transforms of length n + K whatever K is, so fetch many
     # lags at once and double the block whenever the scan outruns it.  Each

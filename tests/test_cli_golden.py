@@ -33,8 +33,10 @@ CHAIN = "{chain}"  # placeholders for the input files' paths in the golden argv
 NPY = "{chain.npy}"
 BAD_INPUTS = ("{non-utf8.csv}", "{header-only.csv}", "{pickled.npy}", "{3d.npy}", "{text.npy}", "{truncated.npy}")
 # the chain's CSV with a byte-order mark, after a blank line, after blank
-# lines and a header; and a file of blank lines only (exit 2)
-TEXT_INPUTS = ("{bom.csv}", "{blank-first.csv}", "{blank-header.csv}", "{blank-only.csv}")
+# lines and a header; a file of blank lines only (exit 2); the chain's CSV
+# with whitespace-only lines between rows and after the data
+TEXT_INPUTS = ("{bom.csv}", "{blank-first.csv}", "{blank-header.csv}", "{blank-only.csv}", "{blank-rows.csv}")
+SHORT = "{short.csv}"  # 3 rows: too short for every estimator's defaults (exit 3)
 REGIMES = ("none", "zero", "adaptive", "over")
 FAMILIES = ("bm", "obm", "sv")
 TIMINGS = ("wall_time_s", "median_seconds")
@@ -81,6 +83,7 @@ COMMANDS = [
     ["estimate", NPY, "--columns", "3"],
     *[["estimate", path, "--method", "bm"] for path in BAD_INPUTS],
     *[["estimate", path, "--method", "bm"] for path in TEXT_INPUTS],
+    *[["estimate", SHORT, "--method", m] for m in (*FAMILIES, "initseq", "initseq-adj")],
 ]
 
 
@@ -88,7 +91,7 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     """Write every input file into directory; returns placeholder -> path."""
     eps = np.random.default_rng(2024).standard_normal((2000, 3))
     values, _ = lfilter([1.0], [1.0, -0.9], eps, axis=0, zi=np.zeros((1, 3)))
-    paths = {key: str(directory / key.strip("{}")) for key in (CHAIN, NPY, *BAD_INPUTS, *TEXT_INPUTS)}
+    paths = {key: str(directory / key.strip("{}")) for key in (CHAIN, NPY, SHORT, *BAD_INPUTS, *TEXT_INPUTS)}
     paths[CHAIN] += ".csv"
     np.savetxt(paths[CHAIN], values, delimiter=",")
     np.save(paths[NPY], values)
@@ -106,6 +109,9 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     pathlib.Path(paths["{blank-first.csv}"]).write_bytes(b"\n" + text)
     pathlib.Path(paths["{blank-header.csv}"]).write_bytes(b"\n \r\nx0,x1,x2\n" + text)
     pathlib.Path(paths["{blank-only.csv}"]).write_bytes(b"\n \n\t\n")
+    rows = text.splitlines(keepends=True)
+    pathlib.Path(paths["{blank-rows.csv}"]).write_bytes(b"".join([rows[0], b" \t\n", *rows[1:], b"  \n\n \n"]))
+    np.savetxt(paths[SHORT], values[:3], delimiter=",")
     return paths
 
 
