@@ -48,33 +48,20 @@ class StoppingDecision:
     n_star: int
 
 
-def mcse(sigma: LrvEstimate | np.ndarray, n: int, method: str = "marginal") -> np.ndarray:
-    """Monte Carlo standard errors of the componentwise averages.
-
-    The default reads the marginal CLT for each component: sqrt(diag/n).
-    method="matrix-sqrt" instead returns diag(B)/sqrt(n) with B the
-    symmetric PD square root of the estimate; for p > 1 the two differ and
-    the marginal form is the standard choice.
-    """
+def mcse(sigma: LrvEstimate | np.ndarray, n: int) -> np.ndarray:
+    """Monte Carlo standard errors of the componentwise averages, read from
+    the marginal CLT for each component: sqrt(diag/n)."""
     m = matrix_of(sigma)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if method == "marginal":
-        d = np.diag(m)
-        bad = np.where(d < 0)[0]
-        if bad.size:
-            raise NotPositiveDefinite(
-                f"negative long-run variance estimate for component {bad[0]}; "
-                "use a zero-lugsail or base estimator"
-            )
-        return np.sqrt(d / n)
-    if method == "matrix-sqrt":
-        vals, vecs = np.linalg.eigh(m)
-        if vals[0] < 0:
-            raise NotPositiveDefinite("matrix square root needs a positive semidefinite estimate")
-        root = (vecs * np.sqrt(vals)) @ vecs.T
-        return np.diag(root) / math.sqrt(n)
-    raise ValueError(f"unknown mcse method {method!r}")
+    d = np.diag(m)
+    bad = np.where(d < 0)[0]
+    if bad.size:
+        raise NotPositiveDefinite(
+            f"negative long-run variance estimate for component {bad[0]}; "
+            "use a zero-lugsail or base estimator"
+        )
+    return np.sqrt(d / n)
 
 
 def chi2_quantile(prob: float, df: int) -> float:
@@ -95,23 +82,23 @@ def _pd_logdet(sigma, what: str) -> float:
     return logdet
 
 
-def region_volume(sigma: LrvEstimate | np.ndarray, n: int, alpha: float) -> float:
-    """Volume of the 100(1-alpha)% confidence ellipsoid for the mean vector."""
+def _log_unit_ball(p: int) -> float:
+    """Log-volume of the unit ball in R^p: log(2 pi^(p/2) / (p Gamma(p/2)))."""
     from scipy.special import gammaln
 
-    m = matrix_of(sigma)
-    p = m.shape[0]
-    logdet = _pd_logdet(m, "the long-run variance estimate")
+    return math.log(2.0) + (p / 2.0) * math.log(math.pi) - math.log(p) - gammaln(p / 2.0)
+
+
+def _volume(logdet: float, p: int, n: int, alpha: float) -> float:
+    """Confidence ellipsoid volume from the estimate's log-determinant."""
     chi2 = chi2_quantile(1.0 - alpha, p)
-    log_vol = (
-        math.log(2.0)
-        + (p / 2.0) * math.log(math.pi)
-        - math.log(p)
-        - gammaln(p / 2.0)
-        + (p / 2.0) * (math.log(chi2) - math.log(n))
-        + 0.5 * logdet
-    )
-    return math.exp(log_vol)
+    return math.exp(_log_unit_ball(p) + (p / 2.0) * (math.log(chi2) - math.log(n)) + 0.5 * logdet)
+
+
+def region_volume(sigma: LrvEstimate | np.ndarray, n: int, alpha: float) -> float:
+    """Volume of the 100(1-alpha)% confidence ellipsoid for the mean vector."""
+    m = matrix_of(sigma)
+    return _volume(_pd_logdet(m, "the long-run variance estimate"), m.shape[0], n, alpha)
 
 
 def region_contains(theta0, theta_bar, sigma: LrvEstimate | np.ndarray, n: int, alpha: float) -> bool:
@@ -128,11 +115,16 @@ def region_contains(theta0, theta_bar, sigma: LrvEstimate | np.ndarray, n: int, 
     return stat < chi2_quantile(1.0 - alpha, p)
 
 
-def ess(chain: SampleMatrix, sigma: LrvEstimate | np.ndarray) -> float:
-    """Multivariate effective sample size n * (|Lambda_n| / |Sigma_n|)^(1/p)."""
+def _ess_terms(chain: SampleMatrix, sigma: LrvEstimate | np.ndarray) -> tuple[float, float, float]:
+    """log|Sigma_n|, log|Lambda_n| and the ESS they give; Sigma_n is checked first."""
     logdet_sigma = _pd_logdet(sigma, "the long-run variance estimate")
     logdet_lambda = _pd_logdet(sample_covariance(chain), "the sample covariance")
-    return chain.n * math.exp((logdet_lambda - logdet_sigma) / chain.p)
+    return logdet_sigma, logdet_lambda, chain.n * math.exp((logdet_lambda - logdet_sigma) / chain.p)
+
+
+def ess(chain: SampleMatrix, sigma: LrvEstimate | np.ndarray) -> float:
+    """Multivariate effective sample size n * (|Lambda_n| / |Sigma_n|)^(1/p)."""
+    return _ess_terms(chain, sigma)[2]
 
 
 def min_ess(alpha: float, epsilon: float, p: int) -> int:
@@ -148,17 +140,8 @@ def min_ess(alpha: float, epsilon: float, p: int) -> int:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
-    from scipy.special import gammaln
-
     chi2 = chi2_quantile(1.0 - alpha, p)
-    log_m = (
-        (2.0 / p) * math.log(2.0)
-        + math.log(math.pi)
-        - (2.0 / p) * (math.log(p) + gammaln(p / 2.0))
-        + math.log(chi2)
-        - 2.0 * math.log(epsilon)
-    )
-    return int(round(math.exp(log_m)))
+    return int(round(math.exp((2.0 / p) * _log_unit_ball(p) + math.log(chi2) - 2.0 * math.log(epsilon))))
 
 
 def fixed_volume_check(chain: SampleMatrix, sigma: LrvEstimate | np.ndarray,
@@ -169,18 +152,18 @@ def fixed_volume_check(chain: SampleMatrix, sigma: LrvEstimate | np.ndarray,
     region volume, padded by 1/n, drops below epsilon times the scale
     |Lambda_n|^(1/2p) of the target distribution.
     """
-    n, p = chain.n, chain.p
-    n_star = config.n_star if config.n_star is not None else min_ess(config.alpha, config.epsilon, p)
-    vol = region_volume(sigma, n, config.alpha)
-    logdet_lambda = _pd_logdet(sample_covariance(chain), "the sample covariance")
-    lhs = vol ** (1.0 / p) + 1.0 / n
+    n, p, m = chain.n, chain.p, matrix_of(sigma)
+    threshold = min_ess(config.alpha, config.epsilon, p)
+    n_star = config.n_star if config.n_star is not None else threshold
+    logdet_sigma, logdet_lambda, ess_n = _ess_terms(chain, m)
+    lhs = _volume(logdet_sigma, m.shape[0], n, config.alpha) ** (1.0 / p) + 1.0 / n
     rhs = config.epsilon * math.exp(logdet_lambda / (2.0 * p))
     return StoppingDecision(
         terminate=bool(n > n_star and lhs < rhs),
         lhs=lhs,
         rhs=rhs,
-        ess=ess(chain, sigma),
-        min_ess=min_ess(config.alpha, config.epsilon, p),
+        ess=ess_n,
+        min_ess=threshold,
         n=n,
         n_star=n_star,
     )

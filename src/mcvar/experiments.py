@@ -127,12 +127,17 @@ def mixture_mh_generate(cfg: MixtureConfig) -> SampleMatrix:
         top = max(terms)
         return top + math.log(sum(math.exp(t - top) for t in terms))
 
-    out = np.empty(cfg.n)
-    x = cfg.mean
-    lx = logf(x)
-    for i in range(cfg.n):
-        y = x + steps[i]
-        ly = logf(y)
+    return _metropolis(logf, cfg.mean, steps, logu)
+
+
+def _metropolis(logpost: Callable, x0, steps: np.ndarray, logu: np.ndarray) -> SampleMatrix:
+    """Random-walk Metropolis from x0: step i proposes x + steps[i] and
+    accepts it when logu[i] is below the log-density gain."""
+    out = np.empty(steps.shape)
+    x, lx = x0, logpost(x0)
+    for i, step in enumerate(steps):
+        y = x + step
+        ly = logpost(y)
         if logu[i] < ly - lx:
             x, lx = y, ly
         out[i] = x
@@ -146,8 +151,7 @@ def mh_acceptance_rate(chain: SampleMatrix) -> float:
 
 
 def logistic_mh_generate(n_obs: int, p_coef: int, n: int,
-                         seed: int | np.random.SeedSequence = 0,
-                         proposal_sd: float | None = None) -> SampleMatrix:
+                         seed: int | np.random.SeedSequence = 0) -> SampleMatrix:
     """Random-walk Metropolis chain for Bayesian logistic regression.
 
     A synthetic design matrix (standard normal covariates, fixed alternating
@@ -168,7 +172,7 @@ def logistic_mh_generate(n_obs: int, p_coef: int, n: int,
     # Posterior scale heuristic: prior precision plus the n_obs/4 cap of the
     # logistic Fisher information, spread over a p-dimensional random walk.
     scale = 1.0 / math.sqrt(prior_precision + 0.25 * n_obs)
-    step = proposal_sd if proposal_sd is not None else 2.4 * scale / math.sqrt(p_coef)
+    step = 2.4 * scale / math.sqrt(p_coef)
 
     def logpost(beta: np.ndarray) -> float:
         quad = -0.5 * prior_precision * float(beta @ beta)
@@ -179,16 +183,7 @@ def logistic_mh_generate(n_obs: int, p_coef: int, n: int,
 
     steps = rng.standard_normal((n, p_coef)) * step
     logu = np.log(rng.random(n))
-    out = np.empty((n, p_coef))
-    beta = np.zeros(p_coef)
-    lp = logpost(beta)
-    for i in range(n):
-        cand = beta + steps[i]
-        lc = logpost(cand)
-        if logu[i] < lc - lp:
-            beta, lp = cand, lc
-        out[i] = beta
-    return SampleMatrix(out)
+    return _metropolis(logpost, np.zeros(p_coef), steps, logu)
 
 
 #: Estimator families accepted by make_estimator and the command line.
@@ -210,12 +205,7 @@ def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
     if method.startswith("initseq"):
         if lugsail != "none":
             raise ValueError(f"{method} takes no lugsail adjustment")
-
-        def scan(chain: SampleMatrix) -> LrvEstimate:
-            res = initial_sequence(chain) if method == "initseq" else adjusted_initial_sequence(chain)
-            return LrvEstimate(res.sigma, family=method)
-
-        return scan
+        return initial_sequence if method == "initseq" else adjusted_initial_sequence
 
     if lugsail == "custom":
         if r is None or c is None:
@@ -254,63 +244,64 @@ def _replicate_seed(master: int, index: tuple[int, ...]) -> np.random.SeedSequen
     return np.random.SeedSequence(entropy=master, spawn_key=index)
 
 
+def _study(generator: Callable[[int, np.random.SeedSequence], SampleMatrix],
+           estimators: dict[str, Estimator], n_grid: Sequence[int], replications: int, seed: int,
+           scorer: Callable[[SampleMatrix], Callable[[LrvEstimate], float]],
+           summary: Callable[[np.ndarray], dict]) -> list[dict]:
+    """One row per (n, estimator): summary of that estimator's replicate scores.
+
+    Each replicate chain is generated once and shared by every estimator so
+    the estimators are compared on identical data; scorer(chain) runs once
+    per chain and returns the score of one estimate on it.
+    """
+    rows = []
+    for i_n, n in enumerate(n_grid):
+        scores = {name: np.empty(replications) for name in estimators}
+        for rep in range(replications):
+            chain = generator(n, _replicate_seed(seed, (i_n, rep)))
+            score = scorer(chain)
+            for name, estimate in estimators.items():
+                scores[name][rep] = score(estimate(chain))
+        rows += [{"estimator": name, "n": n, "replications": replications, **summary(values)}
+                 for name, values in scores.items()]
+    return rows
+
+
 def coverage_study(generator: Callable[[int, np.random.SeedSequence], SampleMatrix],
                    true_mean, estimators: dict[str, Estimator], n_grid: Sequence[int],
                    replications: int, seed: int, alpha: float = 0.05) -> list[dict]:
-    """Observed coverage of the 100(1-alpha)% region for the true mean.
-
-    Each replicate chain is generated once and shared by every estimator so
-    the estimators are compared on identical data.
-    """
+    """Observed coverage of the 100(1-alpha)% region for the true mean."""
     theta0 = np.atleast_1d(np.asarray(true_mean, float))
-    rows = []
-    for i_n, n in enumerate(n_grid):
-        hits = {name: 0 for name in estimators}
-        for rep in range(replications):
-            chain = generator(n, _replicate_seed(seed, (i_n, rep)))
-            xbar = mean_vector(chain)
-            for name, estimate in estimators.items():
-                if region_contains(theta0, xbar, estimate(chain), n, alpha):
-                    hits[name] += 1
-        for name in estimators:
-            cov = hits[name] / replications
-            rows.append({
-                "estimator": name,
-                "n": n,
-                "replications": replications,
-                "coverage": cov,
-                "mc_se": math.sqrt(cov * (1.0 - cov) / replications),
-            })
-    return rows
+
+    def scorer(chain: SampleMatrix):
+        xbar = mean_vector(chain)
+        return lambda sigma: region_contains(theta0, xbar, sigma, chain.n, alpha)
+
+    def summary(hits: np.ndarray) -> dict:
+        cov = float(hits.sum()) / replications
+        return {"coverage": cov, "mc_se": math.sqrt(cov * (1.0 - cov) / replications)}
+
+    return _study(generator, estimators, n_grid, replications, seed, scorer, summary)
 
 
 def ess_study(generator: Callable[[int, np.random.SeedSequence], SampleMatrix],
               truth: BiasTruth | None, estimators: dict[str, Estimator], n_grid: Sequence[int],
               replications: int, seed: int) -> list[dict]:
     """Replication mean and spread of estimated ESS/n per (estimator, n)."""
-    rows = []
-    for i_n, n in enumerate(n_grid):
-        ratios = {name: np.empty(replications) for name in estimators}
-        for rep in range(replications):
-            chain = generator(n, _replicate_seed(seed, (i_n, rep)))
-            for name, estimate in estimators.items():
-                ratios[name][rep] = ess(chain, estimate(chain)) / n
-        for name in estimators:
-            vals = ratios[name]
-            rows.append({
-                "estimator": name,
-                "n": n,
-                "replications": replications,
-                "mean_ess_per_n": float(vals.mean()),
-                "sd_ess_per_n": float(vals.std(ddof=1)) if replications > 1 else 0.0,
-                "truth_ess_per_n": truth.ess_ratio if truth is not None else None,
-            })
-    return rows
+    def summary(ratios: np.ndarray) -> dict:
+        return {
+            "mean_ess_per_n": float(ratios.mean()),
+            "sd_ess_per_n": float(ratios.std(ddof=1)) if replications > 1 else 0.0,
+            "truth_ess_per_n": truth.ess_ratio if truth is not None else None,
+        }
+
+    return _study(generator, estimators, n_grid, replications, seed,
+                  lambda chain: lambda sigma: ess(chain, sigma) / chain.n, summary)
 
 
-def ar1_chain_factory(phi: float, x0: float = 0.0) -> Callable[[int, np.random.SeedSequence], SampleMatrix]:
+def ar1_chain_factory(phi: float) -> Callable[[int, np.random.SeedSequence], SampleMatrix]:
     def factory(n: int, seed) -> SampleMatrix:
-        return ar1_generate(Ar1Config(phi=phi, n=n, seed=seed, x0=x0))
+        return ar1_generate(Ar1Config(phi=phi, n=n, seed=seed))
 
     return factory
 

@@ -19,18 +19,18 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def is_psd(m: np.ndarray, rel_tol: float = PSD_EIG_TOL) -> bool:
-    """Symmetric PSD test: eigenvalues no smaller than -rel_tol * max |eigenvalue|."""
+def is_psd(m: np.ndarray) -> bool:
+    """Symmetric PSD test: eigenvalues no smaller than -PSD_EIG_TOL * max |eigenvalue|."""
     eig = np.linalg.eigvalsh(symmetrize(m))
     scale = max(np.abs(eig).max(), 1e-300)
-    return bool(eig.min() >= -rel_tol * scale)
+    return bool(eig.min() >= -PSD_EIG_TOL * scale)
 
 
-def chol_logdet(m: np.ndarray, rel_tol: float = REL_TOL) -> tuple[bool, float, np.ndarray | None]:
+def chol_logdet(m: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
     """Cholesky-based PD test and log-determinant.
 
     Returns (pd, logdet, factor). pd is True when the factorization succeeds
-    and the smallest squared pivot is at least rel_tol times the largest,
+    and the smallest squared pivot is at least REL_TOL times the largest,
     in which case logdet is the log-determinant and factor the lower factor.
     """
     m = np.asarray(m, float)
@@ -39,7 +39,7 @@ def chol_logdet(m: np.ndarray, rel_tol: float = REL_TOL) -> tuple[bool, float, n
     except np.linalg.LinAlgError:
         return False, -np.inf, None
     piv = np.diag(lower) ** 2
-    if piv.min() < rel_tol * piv.max():
+    if piv.min() < REL_TOL * piv.max():
         return False, -np.inf, None
     return True, float(np.log(piv).sum()), lower
 

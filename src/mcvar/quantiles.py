@@ -231,12 +231,13 @@ def mvn_rect_prob(center, covariance, rect, tol: float = 1e-3, seed=0) -> float:
         ss = np.random.SeedSequence(seed, spawn_key=(log2_points,))
 
 
-def solve_z_star(joint: JointEstimate, alpha: float, tol: float = 1e-3, seed=0) -> SimultaneousRegion:
+def solve_z_star(joint: JointEstimate, alpha: float, seed=0) -> SimultaneousRegion:
     """Common half-width multiplier giving joint coverage 1 - alpha.
 
     The rectangle probability is strictly increasing in z, so a bisection
     over z (with common random numbers across evaluations) converges to the
-    multiplier whose simultaneous coverage matches the target within tol.
+    multiplier whose simultaneous coverage matches the target within the
+    default tolerance of mvn_rect_prob.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -249,7 +250,7 @@ def solve_z_star(joint: JointEstimate, alpha: float, tol: float = 1e-3, seed=0) 
 
     def prob(z: float) -> float:
         rect = np.column_stack([joint.nu_hat - z * sds, joint.nu_hat + z * sds])
-        return mvn_rect_prob(joint.nu_hat, cov_n, rect, tol=tol, seed=seed)
+        return mvn_rect_prob(joint.nu_hat, cov_n, rect, seed=seed)
 
     lo, hi = 0.0, 10.0
     while prob(hi) < target:

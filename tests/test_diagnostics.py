@@ -52,15 +52,6 @@ class TestMcse:
         with pytest.raises(NotPositiveDefinite, match="component 1"):
             mcse(np.diag([1.0, -0.5]), 100)
 
-    def test_matrix_sqrt_variant_matches_for_p1(self):
-        a = mcse(np.array([[156.25]]), 200_000, method="matrix-sqrt")
-        b = mcse(np.array([[156.25]]), 200_000)
-        assert a[0] == pytest.approx(b[0])
-
-    def test_matrix_sqrt_differs_off_diagonal(self):
-        sigma = np.array([[2.0, 0.9], [0.9, 1.0]])
-        assert not np.allclose(mcse(sigma, 100, method="matrix-sqrt"), mcse(sigma, 100))
-
 
 class TestChi2Quantile:
     @pytest.mark.parametrize(
@@ -220,6 +211,14 @@ class TestFixedVolumeCheck:
         decision = fixed_volume_check(chain, np.array([[1.0]]), StoppingConfig(n_star=100))
         assert decision.ess == pytest.approx(10_000.0, rel=1e-9)
         assert decision.min_ess == 6146
+        # the decision's ESS and volume are exactly what the public functions give
+        rng = np.random.default_rng(4)
+        for chain, sigma in ((chain, np.array([[1.0]])),
+                             (SampleMatrix(rng.standard_normal((500, 3))), np.diag([2.0, 1.0, 0.5]) + 0.1)):
+            n, p = chain.n, chain.p
+            decision = fixed_volume_check(chain, sigma, StoppingConfig(alpha=0.1, n_star=100))
+            assert decision.ess == ess(chain, sigma)
+            assert decision.lhs == region_volume(sigma, n, 0.1) ** (1 / p) + 1 / n
 
     def test_non_pd_sigma_is_a_numerical_error(self):
         chain = SampleMatrix(np.random.default_rng(0).standard_normal((50, 2)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mcvar import (
+    LrvEstimate,
     NotPositiveDefinite,
     SampleMatrix,
     adjusted_initial_sequence,
@@ -130,6 +131,18 @@ class TestAdjustedInitialSequence:
         raw = initial_sequence(s)
         adj = adjusted_initial_sequence(s)
         assert (adj.s_n, adj.t_n) == (raw.s_n, raw.t_n)
+
+
+@pytest.mark.parametrize("scan, family", [(initial_sequence, "initseq"),
+                                          (adjusted_initial_sequence, "initseq-adj")])
+def test_result_is_an_lrv_estimate(rng, scan, family):
+    res = scan(SampleMatrix(ar1_paths(rng, 2, 2000, 0.7).T))
+    assert isinstance(res, LrvEstimate)
+    assert (res.family, res.adjusted, res.psd) == (family, family == "initseq-adj", True)
+    assert res.sigma is res.matrix and not res.sigma.flags.writeable
+    assert res.logdet_path.shape == (res.t_n - res.s_n + 1,)
+    with pytest.raises(ValueError, match="dimension 2"):
+        res.scalar()
 
 
 def direct_scan(values):

@@ -11,6 +11,7 @@ import pytest
 
 from mcvar import (
     BARTLETT,
+    LrvEstimate,
     LugsailConfig,
     SampleMatrix,
     adjusted_initial_sequence,
@@ -56,9 +57,12 @@ def test_factory_matches_direct_call(chain, method, name):
                 make_estimator(method, lugsail=name)
             return
         scan = initial_sequence if method == "initseq" else adjusted_initial_sequence
-        got = make_estimator(method)(chain)
+        got, want = make_estimator(method)(chain), scan(chain)
+        assert isinstance(got, LrvEstimate)
         assert got.family == method
-        assert np.array_equal(got.matrix, scan(chain).sigma)
+        assert np.array_equal(got.matrix, want.sigma)
+        assert (got.s_n, got.t_n) == (want.s_n, want.t_n)
+        assert np.array_equal(got.logdet_path, want.logdet_path)
         return
     got = make_estimator(method, lugsail=name)(chain)
     want = direct(method, name, chain)
