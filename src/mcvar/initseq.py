@@ -55,7 +55,6 @@ def _scan(chain: SampleMatrix, adjusted: bool) -> InitSeqResult:
     lags = _lag_cov_block(chain, min(chain.n, _FIRST_BLOCK) - 1)
     running = -symmetrize(lags[0])
     s_n = None
-    path: list[float] = []
     for m in range(limit + 1):
         if 2 * m + 1 >= len(lags):
             lags = _lag_cov_block(chain, min(chain.n, 2 * len(lags)) - 1)
