@@ -1,24 +1,8 @@
-"""Console launcher.
-
-MCSE_THREADS, when set, caps the numeric thread pools; the BLAS/FFT
-libraries only read their environment at load time, so this must run
-before anything imports numpy.
-"""
-import os
+"""Console launcher: the entry point of the `mcvar` script."""
 import sys
 
-_POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _cap_threads() -> None:
-    threads = os.environ.get("MCSE_THREADS", "")
-    if threads.isdigit() and int(threads) >= 1:
-        for var in _POOL_VARS:
-            os.environ.setdefault(var, threads)
+from .cli import main
 
 
 def entry() -> None:
-    _cap_threads()
-    from .cli import main
-
     sys.exit(main())

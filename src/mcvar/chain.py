@@ -33,7 +33,7 @@ def _sp_fft():
 
 
 def _fft_workers() -> int:
-    """Workers for the lag-block irffts: OMP_NUM_THREADS (MCSE_THREADS sets it), else the usable CPUs."""
+    """Workers for the lag-block irffts: OMP_NUM_THREADS, else the usable CPUs."""
     cap = os.environ.get("OMP_NUM_THREADS", "")
     if cap.isdigit() and int(cap) >= 1:
         return int(cap)

@@ -116,8 +116,12 @@ def region_contains(theta0, theta_bar, sigma: LrvEstimate | np.ndarray, n: int, 
 
 
 def _ess_terms(chain: SampleMatrix, sigma: LrvEstimate | np.ndarray) -> tuple[float, float, float]:
-    """log|Sigma_n|, log|Lambda_n| and the ESS they give; Sigma_n is checked first."""
-    logdet_sigma = _pd_logdet(sigma, "the long-run variance estimate")
+    """log|Sigma_n|, log|Lambda_n| and the ESS they give; Sigma_n must be
+    p x p for the chain's p and is checked first."""
+    m = matrix_of(sigma)
+    if m.shape[0] != chain.p:
+        raise ValueError(f"estimate has dimension {m.shape[0]}, chain has {chain.p}")
+    logdet_sigma = _pd_logdet(m, "the long-run variance estimate")
     logdet_lambda = _pd_logdet(sample_covariance(chain), "the sample covariance")
     return logdet_sigma, logdet_lambda, chain.n * math.exp((logdet_lambda - logdet_sigma) / chain.p)
 
@@ -152,11 +156,11 @@ def fixed_volume_check(chain: SampleMatrix, sigma: LrvEstimate | np.ndarray,
     region volume, padded by 1/n, drops below epsilon times the scale
     |Lambda_n|^(1/2p) of the target distribution.
     """
-    n, p, m = chain.n, chain.p, matrix_of(sigma)
+    n, p = chain.n, chain.p
     threshold = min_ess(config.alpha, config.epsilon, p)
     n_star = config.n_star if config.n_star is not None else threshold
-    logdet_sigma, logdet_lambda, ess_n = _ess_terms(chain, m)
-    lhs = _volume(logdet_sigma, m.shape[0], n, config.alpha) ** (1.0 / p) + 1.0 / n
+    logdet_sigma, logdet_lambda, ess_n = _ess_terms(chain, sigma)
+    lhs = _volume(logdet_sigma, p, n, config.alpha) ** (1.0 / p) + 1.0 / n
     rhs = config.epsilon * math.exp(logdet_lambda / (2.0 * p))
     return StoppingDecision(
         terminate=bool(n > n_star and lhs < rhs),

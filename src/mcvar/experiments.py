@@ -44,24 +44,21 @@ class Ar1Config:
             raise ValueError(f"need p >= 1, got {self.p}")
 
 
+_MIX_WEIGHTS = (0.2, 0.3, 0.5)
+_MIX_MEANS = (2.5, 4.5, 7.5)
+_MIX_SDS = (1.0, 1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class MixtureConfig:
-    """Three-component normal mixture sampled by random-walk Metropolis."""
+    """Random-walk Metropolis on the fixed three-component normal mixture
+    0.2 N(2.5, 1) + 0.3 N(4.5, 1) + 0.5 N(7.5, 1)."""
 
     n: int
-    weights: tuple[float, ...] = (0.2, 0.3, 0.5)
-    means: tuple[float, ...] = (2.5, 4.5, 7.5)
-    sds: tuple[float, ...] = (1.0, 1.0, 1.0)
     proposal_sd: float = 0.5
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
-        if len(self.weights) != len(self.means) or len(self.means) != len(self.sds):
-            raise ValueError("weights, means, sds must have equal length")
-        if not math.isclose(sum(self.weights), 1.0, abs_tol=1e-12):
-            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
-        if any(s <= 0 for s in self.sds):
-            raise ValueError("component standard deviations must be positive")
         if self.proposal_sd <= 0:
             raise ValueError("proposal standard deviation must be positive")
         if self.n < 2:
@@ -69,7 +66,7 @@ class MixtureConfig:
 
     @property
     def mean(self) -> float:
-        return sum(w * m for w, m in zip(self.weights, self.means))
+        return sum(w * m for w, m in zip(_MIX_WEIGHTS, _MIX_MEANS))
 
 
 @dataclass(frozen=True)
@@ -116,8 +113,8 @@ def mixture_mh_generate(cfg: MixtureConfig) -> SampleMatrix:
     rng = np.random.default_rng(cfg.seed)
     steps = rng.standard_normal(cfg.n) * cfg.proposal_sd
     logu = np.log(rng.random(cfg.n))
-    log_w = [math.log(w) - math.log(s) for w, s in zip(cfg.weights, cfg.sds)]
-    mu, sd = cfg.means, cfg.sds
+    log_w = [math.log(w) - math.log(s) for w, s in zip(_MIX_WEIGHTS, _MIX_SDS)]
+    mu, sd = _MIX_MEANS, _MIX_SDS
     k = len(mu)
 
     def logf(v: float) -> float:
@@ -198,13 +195,15 @@ def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
     method is one of METHODS; lugsail is a regime name in REGIMES or custom
     (custom requires r and c).  b=None picks the batch size (or truncation
     point) from batch_rule at call time.  The initial-sequence methods take
-    no lugsail adjustment and ignore b.
+    neither a lugsail adjustment nor b: their scan picks its own truncation.
     """
     if method not in METHODS:
         raise ValueError(f"unknown estimator method {method!r}")
     if method.startswith("initseq"):
         if lugsail != "none":
             raise ValueError(f"{method} takes no lugsail adjustment")
+        if b is not None:
+            raise ValueError(f"{method} takes no batch size b")
         return initial_sequence if method == "initseq" else adjusted_initial_sequence
 
     if lugsail == "custom":
@@ -227,7 +226,7 @@ def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
 
 
 def standard_grid(lugsails: Sequence[str] = ("none", "zero", "over"),
-                  methods: Sequence[str] = ("bm",), batch_rule: str = "sqrt") -> dict[str, Estimator]:
+                  methods: Sequence[str] = ("bm",)) -> dict[str, Estimator]:
     """Labelled estimator grid like the replication studies use."""
     grid: dict[str, Estimator] = {}
     for method in methods:
@@ -236,7 +235,7 @@ def standard_grid(lugsails: Sequence[str] = ("none", "zero", "over"),
             continue
         for lug in lugsails:
             label = method if lug == "none" else f"{method}-{lug}"
-            grid[label] = make_estimator(method, lugsail=lug, batch_rule=batch_rule)
+            grid[label] = make_estimator(method, lugsail=lug)
     return grid
 
 
@@ -254,6 +253,8 @@ def _study(generator: Callable[[int, np.random.SeedSequence], SampleMatrix],
     the estimators are compared on identical data; scorer(chain) runs once
     per chain and returns the score of one estimate on it.
     """
+    if replications < 1:
+        raise ValueError(f"need at least 1 replication, got {replications}")
     rows = []
     for i_n, n in enumerate(n_grid):
         scores = {name: np.empty(replications) for name in estimators}
@@ -285,14 +286,14 @@ def coverage_study(generator: Callable[[int, np.random.SeedSequence], SampleMatr
 
 
 def ess_study(generator: Callable[[int, np.random.SeedSequence], SampleMatrix],
-              truth: BiasTruth | None, estimators: dict[str, Estimator], n_grid: Sequence[int],
+              truth: BiasTruth, estimators: dict[str, Estimator], n_grid: Sequence[int],
               replications: int, seed: int) -> list[dict]:
     """Replication mean and spread of estimated ESS/n per (estimator, n)."""
     def summary(ratios: np.ndarray) -> dict:
         return {
             "mean_ess_per_n": float(ratios.mean()),
             "sd_ess_per_n": float(ratios.std(ddof=1)) if replications > 1 else 0.0,
-            "truth_ess_per_n": truth.ess_ratio if truth is not None else None,
+            "truth_ess_per_n": truth.ess_ratio,
         }
 
     return _study(generator, estimators, n_grid, replications, seed,
@@ -313,6 +314,8 @@ def timing_bench(chain: SampleMatrix, estimators: dict[str, Estimator],
     Each repetition runs on a fresh copy of the matrix so per-chain caches
     (the shared FFT of the centered columns) cannot subsidize later calls.
     """
+    if repetitions < 1:
+        raise ValueError(f"need at least 1 repetition, got {repetitions}")
     rows = []
     for name, estimate in estimators.items():
         times = []

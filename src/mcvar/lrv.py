@@ -141,7 +141,7 @@ class LrvEstimate:
     b: int | None = None
     window: str | None = None
     lugsail: LugsailConfig | None = None
-    psd: bool = field(default=True)
+    psd: bool = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, float)

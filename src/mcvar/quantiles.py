@@ -108,22 +108,30 @@ def joint_transformed_chain(chain: SampleMatrix, targets: list[TargetSpec]) -> S
     centered indicator (q - 1{V_i <= xi_hat}) scaled by the reciprocal of
     the density estimate at the sample quantile.
     """
+    return _estimates_and_transform(chain, targets)[1]
+
+
+def _estimates_and_transform(chain: SampleMatrix, targets: list[TargetSpec]) -> tuple[np.ndarray, SampleMatrix]:
+    """The targets' point estimates (sample mean or quantile) and
+    joint_transformed_chain, each sample quantile taken once."""
     if not targets:
         raise ValueError("need at least one target")
-    cols = []
+    nu, cols = [], []
     for t in targets:
         if t.component >= chain.p:
             raise ValueError(f"component {t.component} out of range for dimension {chain.p}")
         v = chain.column(t.component)
         if t.kind == "mean":
+            nu.append(v.mean())
             cols.append(v)
         else:
             xi = quantile_estimate(v, t.q)
             dens = kde_density_at(v, xi)
             if dens <= 0.0:
                 raise ValueError(f"density estimate at the {t.q}-quantile of component {t.component} is not positive")
+            nu.append(xi)
             cols.append((t.q - (v <= xi)) / dens)
-    return SampleMatrix(np.column_stack(cols))
+    return np.array(nu), SampleMatrix(np.column_stack(cols))
 
 
 def estimate_omega(chain: SampleMatrix, targets: list[TargetSpec], estimator=None) -> JointEstimate:
@@ -132,7 +140,7 @@ def estimate_omega(chain: SampleMatrix, targets: list[TargetSpec], estimator=Non
     estimator maps a SampleMatrix to an LrvEstimate; the default is
     zero-lugsail batch means at the square-root batch size.
     """
-    transformed = joint_transformed_chain(chain, targets)
+    nu, transformed = _estimates_and_transform(chain, targets)
     if estimator is None:
         from .batch import default_batch_size, lugsail_batch_means
 
@@ -141,10 +149,6 @@ def estimate_omega(chain: SampleMatrix, targets: list[TargetSpec], estimator=Non
         est = lugsail_batch_means(transformed, b, zero)
     else:
         est = estimator(transformed)
-    nu = np.array([
-        chain.column(t.component).mean() if t.kind == "mean" else quantile_estimate(chain.column(t.component), t.q)
-        for t in targets
-    ])
     return JointEstimate(nu_hat=nu, omega=est.matrix, n=chain.n, targets=tuple(targets))
 
 

@@ -75,10 +75,13 @@ def lugsail_cases(draw):
 
 
 def assert_lugsail_mix(got, big, small, c: float, rel: float) -> None:
-    """got == (big - c * small) / (1 - c) within rel of the inputs' scale."""
+    """got == (big - c * small) / (1 - c) within rel of the inputs' scale.
+
+    The scale is floored at the smallest normal double: below it rel * scale
+    underflows to 0, and a difference of one subnormal step would fail."""
     want = (big - c * small) / (1.0 - c)
     scale = max(np.abs(big).max(), np.abs(small).max())
-    assert np.abs(got - want).max() <= rel * scale
+    assert np.abs(got - want).max() <= rel * max(scale, np.finfo(float).tiny)
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import json
-import os
 import warnings
 
 import numpy as np
@@ -137,6 +136,18 @@ def single_input_error(capsys, path) -> str:
     return err
 
 
+def single_usage_error(capsys, *argv) -> str:
+    """Run argv with every warning recorded; it must exit 3 with one stderr
+    line and no warning.  Returns that line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    assert code == EXIT_USAGE and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("mcvar: usage error: ")
+    return err
+
+
 class TestInputErrors:
     def test_npy_matches_csv(self, capsys, tmp_path, ar1_file):
         f = tmp_path / "ar1.npy"
@@ -197,6 +208,11 @@ class TestEstimateCommand:
         code, _, err = run(capsys, "estimate", chain4, "--method", "initseq", "--lugsail", "over")
         assert code == EXIT_USAGE
         assert "initseq" in err
+
+    @pytest.mark.parametrize("method", ["initseq", "initseq-adj"])
+    def test_initseq_rejects_batch_size(self, capsys, chain4, method):
+        err = single_usage_error(capsys, "estimate", chain4, "--method", method, "--b", "5")
+        assert err == f"mcvar: usage error: {method} takes no batch size b\n"
 
     def test_window_only_with_sv(self, capsys, chain4):
         code, _, err = run(capsys, "estimate", chain4, "--method", "bm", "--window", "bartlett")
@@ -376,6 +392,11 @@ class TestExperimentCommand:
         assert lines[0] == "estimator,median_seconds,repetitions"
         assert len(lines) == 1 + 7  # bm x3, sv x3, initseq
 
+    @pytest.mark.parametrize("name", ["ar1-coverage", "ar1-ess", "bench"])
+    def test_zero_replications_is_a_usage_error(self, capsys, name):
+        err = single_usage_error(capsys, "experiment", name, "--n", "500", "--reps", "0")
+        assert "at least 1 rep" in err
+
     def test_mixture_summary(self, capsys):
         code, out, _ = run(capsys, "experiment", "mixture", "--n", "4000", "--seed", "2", "--out", "json")
         assert code == EXIT_OK
@@ -390,34 +411,6 @@ class TestExperimentCommand:
         got = json.loads(out)
         assert len(got["posterior_mean"]) == 3
         assert got["ess"] > 0
-
-
-class TestThreadCap:
-    def test_mcse_threads_caps_pools_before_numpy_loads(self):
-        import subprocess
-        import sys
-
-        probe = (
-            "import os\n"
-            "from mcvar._main import _cap_threads\n"
-            "_cap_threads()\n"
-            "assert os.environ['OMP_NUM_THREADS'] == '2'\n"
-            "from mcvar.cli import main\n"
-            "raise SystemExit(main(['miness', '--p', '3']))\n"
-        )
-        env = dict(os.environ, MCSE_THREADS="2")
-        env.pop("OMP_NUM_THREADS", None)
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-        assert out.returncode == EXIT_OK
-        assert out.stdout.strip() == "8123"
-
-    def test_garbage_value_is_ignored(self, monkeypatch):
-        from mcvar._main import _cap_threads
-
-        monkeypatch.setenv("MCSE_THREADS", "lots")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        _cap_threads()
-        assert "OMP_NUM_THREADS" not in os.environ
 
 
 class TestExitCodePartition:

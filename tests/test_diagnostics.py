@@ -137,6 +137,14 @@ class TestEss:
         with pytest.raises(NotPositiveDefinite):
             ess(chain, np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    def test_estimate_of_another_dimension_rejected(self, rng):
+        chain = SampleMatrix(rng.standard_normal((500, 3)))
+        for p, sigma in ((2, np.eye(2)), (4, LrvEstimate(np.eye(4), family="bm"))):
+            with pytest.raises(ValueError, match=f"dimension {p}, chain has 3"):
+                ess(chain, sigma)
+            with pytest.raises(ValueError, match=f"dimension {p}, chain has 3"):
+                fixed_volume_check(chain, sigma, StoppingConfig())
+
     def test_invariant_under_linear_maps(self, rng):
         chain = SampleMatrix(rng.standard_normal((400, 3)))
         sigma = sample_covariance(chain) * 2.5

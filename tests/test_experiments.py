@@ -93,10 +93,6 @@ class TestMixtureSampler:
         large = mixture_mh_generate(MixtureConfig(n=20_000, seed=17, proposal_sd=50.0))
         assert mh_acceptance_rate(large) < mh_acceptance_rate(small)
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            MixtureConfig(n=100, weights=(0.5, 0.2, 0.2))
-
 
 class TestLogisticSampler:
     def test_deterministic_for_a_seed(self):

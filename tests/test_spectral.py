@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -221,6 +221,8 @@ class TestLugsailSpectralVariance:
         assert np.abs(a - b).max() < 1e-12
 
     @given(lugsail_cases())
+    # subnormal results: the bound must not underflow to 0
+    @example((np.array([[0.0], [2.8776076e-159], [2.8776076e-159], [2.8776076e-159]]), 2.0, 2, 0.5))
     def test_equals_linear_combination_when_r_divides_b(self, case):
         values, r, b, c = case
         s = SampleMatrix(values)
