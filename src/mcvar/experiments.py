@@ -156,6 +156,8 @@ def logistic_mh_generate(n_obs: int, p_coef: int, n: int,
     the posterior combines the logistic likelihood with the tight normal
     prior N(0, I/100).  n_obs=0 reduces the target to the prior.
     """
+    if n_obs < 0:
+        raise ValueError(f"need n_obs >= 0, got {n_obs}")
     if p_coef < 1:
         raise ValueError(f"need at least one coefficient, got {p_coef}")
     if n < 2:
@@ -272,6 +274,8 @@ def coverage_study(generator: Callable[[int, np.random.SeedSequence], SampleMatr
                    true_mean, estimators: dict[str, Estimator], n_grid: Sequence[int],
                    replications: int, seed: int, alpha: float = 0.05) -> list[dict]:
     """Observed coverage of the 100(1-alpha)% region for the true mean."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     theta0 = np.atleast_1d(np.asarray(true_mean, float))
 
     def scorer(chain: SampleMatrix):

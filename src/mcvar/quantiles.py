@@ -4,10 +4,10 @@ Quantile point estimates are order statistics; their contribution to the
 joint long-run covariance comes from the delta-method transformation
 (q - 1{V <= xi_hat}) / f_hat(xi_hat) applied columnwise, after which any
 multivariate LRV estimator applies to the stacked transformed chain.
-Simultaneous hyperrectangular regions are calibrated by a one-dimensional
-search over the common half-width multiplier z, with the rectangle
-probabilities evaluated by randomized quasi-Monte Carlo sequential
-conditioning (Genz-style).
+Simultaneous hyperrectangular regions are calibrated by a bisection over the
+common half-width multiplier z inside Sidak's bracket, with the rectangle
+probabilities evaluated by sequential conditioning (Genz 1992) integrated
+with a randomly shifted Richtmyer lattice rule (Genz and Bretz 2009).
 """
 from __future__ import annotations
 
@@ -91,12 +91,21 @@ def kde_density_at(values, x: float) -> float:
     v = np.asarray(values, float).ravel()
     if v.size < 2:
         raise ValueError("need at least 2 observations for a density estimate")
+    return _gaussian_kde(v, x, _silverman_bandwidth(v))
+
+
+def _silverman_bandwidth(v: np.ndarray) -> float:
+    """0.9 * min(sd, IQR/1.34) * n^(-1/5) of a 1-D sample of size >= 2."""
     sd = v.std(ddof=1)
     if sd == 0.0:
         raise ValueError("sample has zero spread")
-    iqr = float(np.percentile(v, 75) - np.percentile(v, 25))
+    q25, q75 = np.percentile(v, [25, 75])
+    iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    h = 0.9 * spread * v.size ** (-0.2)
+    return 0.9 * spread * v.size ** (-0.2)
+
+
+def _gaussian_kde(v: np.ndarray, x: float, h: float) -> float:
     z = (x - v) / h
     return float(np.exp(-0.5 * z * z).mean() / (h * math.sqrt(2.0 * math.pi)))
 
@@ -113,25 +122,37 @@ def joint_transformed_chain(chain: SampleMatrix, targets: list[TargetSpec]) -> S
 
 def _estimates_and_transform(chain: SampleMatrix, targets: list[TargetSpec]) -> tuple[np.ndarray, SampleMatrix]:
     """The targets' point estimates (sample mean or quantile) and
-    joint_transformed_chain, each sample quantile taken once."""
+    joint_transformed_chain, each sample quantile taken once.
+
+    Every component is checked before any work. Each distinct component is
+    copied once into a contiguous column, and its KDE bandwidth computed once
+    for all of its quantile targets."""
     if not targets:
         raise ValueError("need at least one target")
-    nu, cols = [], []
     for t in targets:
         if t.component >= chain.p:
             raise ValueError(f"component {t.component} out of range for dimension {chain.p}")
-        v = chain.column(t.component)
-        if t.kind == "mean":
-            nu.append(v.mean())
-            cols.append(v)
-        else:
+    nu = np.empty(len(targets))
+    out = np.empty((chain.n, len(targets)))
+    for j in dict.fromkeys(t.component for t in targets):
+        v = np.ascontiguousarray(chain.column(j))
+        h = None
+        for i, t in enumerate(targets):
+            if t.component != j:
+                continue
+            if t.kind == "mean":
+                nu[i] = v.mean()
+                out[:, i] = v
+                continue
+            if h is None:
+                h = _silverman_bandwidth(v)
             xi = quantile_estimate(v, t.q)
-            dens = kde_density_at(v, xi)
+            dens = _gaussian_kde(v, xi, h)
             if dens <= 0.0:
                 raise ValueError(f"density estimate at the {t.q}-quantile of component {t.component} is not positive")
-            nu.append(xi)
-            cols.append((t.q - (v <= xi)) / dens)
-    return np.array(nu), SampleMatrix(np.column_stack(cols))
+            nu[i] = xi
+            out[:, i] = (t.q - (v <= xi)) / dens
+    return nu, SampleMatrix(out)
 
 
 def estimate_omega(chain: SampleMatrix, targets: list[TargetSpec], estimator=None) -> JointEstimate:
@@ -174,15 +195,33 @@ def _genz_batch(lower, upper, factor, points) -> np.ndarray:
     return f
 
 
+def _first_primes(k: int) -> np.ndarray:
+    """The first k primes, from a sieve whose bound doubles until it holds k."""
+    bound = 16
+    while True:
+        sieve = np.ones(bound, bool)
+        sieve[:2] = False
+        for i in range(2, math.isqrt(bound - 1) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = False
+        primes = np.flatnonzero(sieve)
+        if primes.size >= k:
+            return primes[:k]
+        bound *= 2
+
+
 def mvn_rect_prob(center, covariance, rect, tol: float = 1e-3, seed=0) -> float:
     """P(U in rect) for U ~ Normal(center, covariance).
 
-    Uses the sequential-conditioning representation integrated with
-    randomized (scrambled) Sobol points: variables are reordered by
-    standardized interval width, the integrand is averaged over independent
-    scramblings, and the point count doubles until the standard-error
-    estimate of the average is at most tol.  Univariate input is evaluated
-    exactly.  Deterministic for a fixed seed.
+    Uses the sequential-conditioning representation integrated with a
+    randomized Richtmyer lattice rule (Genz and Bretz 2009): the points
+    frac(i * g) for i < N, with generators g_j = frac(sqrt(prime_j)), each
+    set moved by a uniform random shift mod 1 and folded by the baker's
+    transform 1 - |2x - 1|.  Variables are reordered by standardized
+    interval width, the integrand is averaged over independent shifts, and
+    the point count N grows from 2^7 until the standard-error estimate of
+    the average is at most tol, with a warning if the budget runs out first.
+    Univariate input is evaluated exactly.  Deterministic for a fixed seed.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -212,16 +251,16 @@ def mvn_rect_prob(center, covariance, rect, tol: float = 1e-3, seed=0) -> float:
     lower, upper = lower[order], upper[order]
     factor = np.linalg.cholesky(cov[np.ix_(order, order)])
 
-    from scipy.stats import qmc
-
+    generators = np.sqrt(_first_primes(p - 1)) % 1.0
     ss = np.random.SeedSequence(seed)
     n_shifts = 10
     log2_points = 7
     while True:
+        lattice = np.outer(np.arange(1 << log2_points), generators) % 1.0
         means = np.empty(n_shifts)
         for k, child in enumerate(ss.spawn(n_shifts)):
-            engine = qmc.Sobol(d=p - 1, scramble=True, seed=np.random.default_rng(child))
-            pts = engine.random_base2(log2_points)
+            shifted = (lattice + np.random.default_rng(child).random(p - 1)) % 1.0
+            pts = 1.0 - np.abs(2.0 * shifted - 1.0)
             means[k] = _genz_batch(lower, upper, factor, pts).mean()
         se = means.std(ddof=1) / math.sqrt(n_shifts)
         if se <= tol:
@@ -241,13 +280,22 @@ def solve_z_star(joint: JointEstimate, alpha: float, seed=0) -> SimultaneousRegi
     The rectangle probability is strictly increasing in z, so a bisection
     over z (with common random numbers across evaluations) converges to the
     multiplier whose simultaneous coverage matches the target within the
-    default tolerance of mvn_rect_prob.
+    default tolerance of mvn_rect_prob.  The search starts from Sidak's
+    bracket (1967), known before any rectangle probability is computed: the
+    joint coverage is at most each marginal's 2 Phi(z) - 1, and at least
+    their product (2 Phi(z) - 1)^p because the rectangle is centred and
+    symmetric.  So z* lies between the marginal quantile
+    -Phi^-1(alpha / 2) and the Sidak quantile -Phi^-1((1 - (1 - alpha)^(1/p)) / 2),
+    which coincide when p = 1.  The bisection stops once the bracket is
+    narrower than 1e-3 and returns its midpoint.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     omega = joint.omega
     if not chol_logdet(omega)[0]:
         raise NotPositiveDefinite("joint covariance omega is not positive definite")
+    from scipy.special import ndtri
+
     target = 1.0 - alpha
     sds = np.sqrt(np.diag(omega) / joint.n)
     cov_n = omega / joint.n
@@ -256,19 +304,15 @@ def solve_z_star(joint: JointEstimate, alpha: float, seed=0) -> SimultaneousRegi
         rect = np.column_stack([joint.nu_hat - z * sds, joint.nu_hat + z * sds])
         return mvn_rect_prob(joint.nu_hat, cov_n, rect, seed=seed)
 
-    lo, hi = 0.0, 10.0
-    while prob(hi) < target:
-        hi *= 2.0
-        if hi > 1e4:
-            raise ValueError("failed to bracket the coverage target")
-    for _ in range(60):
+    # expm1/log1p keep 1 - (1 - alpha)^(1/p) accurate as alpha -> 0.
+    lo = float(-ndtri(alpha / 2.0))
+    hi = float(-ndtri(-math.expm1(math.log1p(-alpha) / joint.p) / 2.0))
+    while hi - lo >= 1e-3:
         mid = 0.5 * (lo + hi)
         if prob(mid) < target:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-3:
-            break
     z = 0.5 * (lo + hi)
     intervals = np.column_stack([joint.nu_hat - z * sds, joint.nu_hat + z * sds])
     return SimultaneousRegion(z_star=z, intervals=intervals, coverage_target=target)

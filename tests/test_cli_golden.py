@@ -76,6 +76,10 @@ COMMANDS = [
     ["experiment", "logistic", "--n", "1000", "--n-obs", "50", "--p-coef", "3", "--seed", "2"],
     *[["experiment", "bench", "--n", "1000", "--p-coef", "2", "--reps", "1", "--seed", "1", "--out", out]
       for out in ("json", "csv")],
+    # flags refused before any chain is drawn or any target computed (exit 3)
+    ["experiment", "ar1-coverage", "--n", "600", "--reps", "2", "--alpha", "1.5"],
+    ["experiment", "logistic", "--n-obs", "-1"],
+    ["simci", CHAIN, "--targets", "mean:0,quant:0:0.5,mean:5"],
     # .npy input, and input errors (exit 2)
     *[["estimate", NPY, "--method", m] for m in (*FAMILIES, "initseq")],
     ["estimate", NPY, "--columns", "2,0", "--lugsail", "over"],

@@ -57,3 +57,15 @@ def test_miness_loads_special_but_not_stats():
     loaded = loaded_after(code)
     assert "scipy.special" in loaded
     assert "scipy.stats" not in loaded
+
+
+def test_multi_target_simci_loads_special_only(tmp_path):
+    f = tmp_path / "chain.csv"
+    np.savetxt(f, np.random.default_rng(0).standard_normal((500, 3)), delimiter=",")
+    code = (
+        "import contextlib, io\n"
+        "from mcvar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['simci', {str(f)!r}, '--targets', 'mean:0,quant:1:0.1,quant:2:0.9']) == 0\n"
+    )
+    assert loaded_after(code) == {"scipy.special"}

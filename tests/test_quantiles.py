@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
+from mcvar import quantiles
 from mcvar import (
     JointEstimate,
     NotPositiveDefinite,
@@ -18,6 +21,26 @@ from mcvar import (
     solve_z_star,
 )
 
+
+def column_by_column_transform(chain: SampleMatrix, targets):
+    """Reference: each target on its own column view, KDE bandwidth and all."""
+    nu, cols = [], []
+    for t in targets:
+        v = chain.column(t.component)
+        if t.kind == "mean":
+            nu.append(v.mean())
+            cols.append(v)
+        else:
+            xi = quantile_estimate(v, t.q)
+            dens = kde_density_at(v, xi)
+            nu.append(xi)
+            cols.append((t.q - (v <= xi)) / dens)
+    return np.array(nu), np.column_stack(cols)
+
+
+def sidak_bracket(alpha: float, p: int) -> tuple[float, float]:
+    """The marginal and the Sidak quantile of a centred symmetric rectangle."""
+    return norm.isf(alpha / 2), norm.isf((1 - (1 - alpha) ** (1 / p)) / 2)
 
 
 class TestTargetSpec:
@@ -108,6 +131,27 @@ class TestJointTransformedChain:
     def test_needs_targets(self, rng):
         with pytest.raises(ValueError, match="target"):
             joint_transformed_chain(SampleMatrix(rng.standard_normal(50)), [])
+
+    def test_shared_components_match_column_by_column_code(self, rng):
+        values = np.cumsum(rng.standard_normal((4000, 3)), axis=0) * 0.05 + rng.standard_normal((4000, 3))
+        chain = SampleMatrix(values)
+        targets = [TargetSpec("quantile", 1, 0.1), TargetSpec("mean", 0), TargetSpec("quantile", 1, 0.9),
+                   TargetSpec("mean", 1), TargetSpec("quantile", 0, 0.5), TargetSpec("quantile", 1, 0.5),
+                   TargetSpec("mean", 1)]
+        nu_want, cols_want = column_by_column_transform(chain, targets)
+        nu_got, transformed = quantiles._estimates_and_transform(chain, targets)
+        assert np.array_equal(nu_got, nu_want)
+        assert np.array_equal(transformed.values, cols_want)
+
+    def test_every_component_checked_before_any_work(self, rng, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("quantile work ran before the component check")
+
+        monkeypatch.setattr(quantiles, "quantile_estimate", no_work)
+        monkeypatch.setattr(quantiles, "_silverman_bandwidth", no_work)
+        targets = [TargetSpec("mean", 0), TargetSpec("quantile", 0, 0.5), TargetSpec("mean", 5)]
+        with pytest.raises(ValueError, match="component 5 out of range for dimension 3"):
+            joint_transformed_chain(SampleMatrix(rng.standard_normal((50, 3))), targets)
 
 
 class TestEstimateOmega:
@@ -200,11 +244,58 @@ class TestMvnRectProb:
             oracle = multivariate_normal(mean=center, cov=cov).cdf(rect[:, 1], lower_limit=rect[:, 0])
             assert mine == pytest.approx(float(oracle), abs=3e-3)
 
+    def test_thirty_dimensions_match_scipy(self, rng):
+        # one generator per conditioned variable: 29 primes for the lattice
+        p = 30
+        a = rng.standard_normal((p, p)) / math.sqrt(p)
+        cov = a @ a.T + 0.5 * np.eye(p)
+        center = rng.standard_normal(p)
+        half = rng.uniform(2.5, 3.5, size=p) * np.sqrt(np.diag(cov))
+        rect = np.column_stack([center - half, center + half])
+        mine = mvn_rect_prob(center, cov, rect, seed=30)
+        oracle = float(multivariate_normal(mean=center, cov=cov).cdf(rect[:, 1], lower_limit=rect[:, 0]))
+        assert 0.5 < oracle < 0.99
+        assert mine == pytest.approx(oracle, abs=3e-3)
+
 
 class TestSolveZStar:
     def test_univariate_normal_quantile(self):
         joint = JointEstimate(nu_hat=np.array([0.0]), omega=np.array([[2.0]]), n=400)
         assert solve_z_star(joint, 0.05).z_star == pytest.approx(1.95996, abs=0.01)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-3, 0.05, 0.5, 0.999])
+    def test_univariate_is_the_exact_quantile_without_integration(self, alpha, monkeypatch):
+        def no_integral(*args, **kwargs):
+            raise AssertionError("a rectangle probability was computed at p = 1")
+
+        monkeypatch.setattr(quantiles, "mvn_rect_prob", no_integral)
+        joint = JointEstimate(nu_hat=np.array([1.5]), omega=np.array([[3.0]]), n=50)
+        assert solve_z_star(joint, alpha).z_star == pytest.approx(norm.isf(alpha / 2), rel=1e-12, abs=1e-12)
+
+    @given(st.integers(2, 8), st.floats(0.001, 0.5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25)
+    def test_z_star_lies_in_the_sidak_bracket(self, p, alpha, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((p, p))
+        omega = a @ a.T + 0.1 * np.eye(p)
+        joint = JointEstimate(nu_hat=rng.standard_normal(p), omega=omega, n=int(rng.integers(10, 10_000)))
+        z_lo, z_hi = sidak_bracket(alpha, p)
+        assert z_lo - 1e-3 <= solve_z_star(joint, alpha, seed=seed).z_star <= z_hi + 1e-3
+
+    def test_bracket_bounds_the_rectangle_probability_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return mvn_rect_prob(*args, **kwargs)
+
+        monkeypatch.setattr(quantiles, "mvn_rect_prob", counted)
+        omega = 0.3 * np.eye(6) + 0.7
+        region = solve_z_star(JointEstimate(nu_hat=np.zeros(6), omega=omega, n=1000), 0.05)
+        z_lo, z_hi = sidak_bracket(0.05, 6)
+        assert len(calls) == math.ceil(math.log2((z_hi - z_lo) / 1e-3)) == 10
+        cover = multivariate_normal(cov=omega).cdf(region.z_star * np.ones(6), lower_limit=-region.z_star * np.ones(6))
+        assert float(cover) == pytest.approx(0.95, abs=3e-3)
 
     def test_bivariate_diagonal(self):
         joint = JointEstimate(nu_hat=np.array([1.0, -2.0]), omega=np.diag([2.0, 5.0]), n=900)
