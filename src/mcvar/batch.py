@@ -59,11 +59,8 @@ def lugsail_combine(big: LrvEstimate, small: LrvEstimate, c: float) -> LrvEstima
     if not (big.b and small.b):
         raise ValueError("lugsail mixing needs the batch sizes of both estimates")
     config = LugsailConfig(r=float(big.b) / float(small.b), c=c, regime="custom")
-    # a no-op (or equal inputs) must reproduce the base entrywise: no float round trip
-    if config.noop or np.array_equal(big.matrix, small.matrix):
-        return big
-    m = big.matrix / (1.0 - c) - small.matrix * (c / (1.0 - c))
-    return LrvEstimate(m, family=big.family, b=big.b, window=big.window, lugsail=config)
+    m = config.mix(big.matrix, small.matrix)
+    return big if m is big.matrix else LrvEstimate(m, family=big.family, b=big.b, window=big.window, lugsail=config)
 
 
 def lugsail_policy(rho: float) -> LugsailConfig:
@@ -123,8 +120,8 @@ def _lugsail_of(base, chain: SampleMatrix, b: int, config: LugsailConfig) -> Lrv
     applied = config.resolve(chain.n, b)
     if applied is None:
         return big
-    est = lugsail_combine(big, base(chain, int(b // applied.r)), applied.c)
-    return LrvEstimate(est.matrix, family=est.family, b=b, window=est.window, lugsail=applied)
+    m = applied.mix(big.matrix, base(chain, int(b // applied.r)).matrix)
+    return LrvEstimate(m, family=big.family, b=b, window=big.window, lugsail=applied)
 
 
 def lugsail_batch_means(chain: SampleMatrix, b: int, config: LugsailConfig) -> LrvEstimate:
@@ -171,7 +168,7 @@ def lugsail_exact_bias_ar1(phi: float, n: int, b: int, r: float, c: float) -> fl
     applied = config.resolve(n, b)
     if applied is None:
         return big
-    return (big - applied.c * bm_exact_bias_ar1(phi, n, int(b // r))) / (1.0 - applied.c)
+    return applied.mix(big, bm_exact_bias_ar1(phi, n, int(b // r)))
 
 
 __all__ = [

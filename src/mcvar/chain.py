@@ -5,12 +5,12 @@ estimators) consumes the immutable SampleMatrix defined here.  Lag
 covariances use the 1/n normalization so that spectral sums keep their
 positive-definiteness structure.
 
-Every FFT is sized to the lags it returns: lags 0..K of n rows need a
+Every FFT is sized to the lags asked of it: lags 0..K of n rows need a
 zero-padded length of at least n + K to avoid circular wrap, so a lag block
-has length scipy.fft.next_fast_len(n + K, real=True) and the cached full
-spectrum next_fast_len(2n - 1, real=True).  A lag block of p components
-runs p forward and p(p+1)/2 inverse transforms: one inverse transform per
-unordered pair of components gives both C(k)[i, j] and C(k)[j, i].
+has length scipy.fft.next_fast_len(n + K, real=True) and returns all lags
+it holds wrap-free, and the full spectrum next_fast_len(2n - 1, real=True).
+A block of p components runs p forward and p(p+1)/2 inverse transforms: one
+per unordered pair of components gives both C(k)[i, j] and C(k)[j, i].
 """
 from __future__ import annotations
 
@@ -155,18 +155,20 @@ def lag_covariance(chain: SampleMatrix, k: int) -> LagCovariance:
 
 
 def _lag_cov_block(chain: SampleMatrix, kmax: int) -> np.ndarray:
-    """Lag covariances for k = 0..kmax as a (kmax+1, p, p) array, via FFT.
+    """Lag covariances for k = 0..K as a (K+1, p, p) array, via FFT.
 
     The centered columns are transformed at length next_fast_len(n + kmax),
-    the shortest that keeps lags 0..kmax free of circular wrap.  The inverse
-    transform of conj(S_j) * S_i holds C(k)[j, i] at index k and
-    C(k)[i, j] = C(-k)[j, i] at index nfft - k (wrap-free too, as nfft >= n + kmax),
+    the shortest that keeps lags 0..kmax free of circular wrap; all lags up
+    to K = min(n - 1, nfft - n) >= kmax are then wrap-free, and returned.  The
+    inverse transform of conj(S_j) * S_i holds C(k)[j, i] at index k and
+    C(k)[i, j] = C(-k)[j, i] at index nfft - k (wrap-free too, as nfft >= n + K),
     so only the p(p+1)/2 rows i >= j are transformed, one leading component j
     at a time to keep peak memory at O(nfft * p).  Lag 0 is filled by symmetry.
     """
     n, p = chain.n, chain.p
     sp_fft = _sp_fft()
     nfft = sp_fft.next_fast_len(n + kmax, real=True)
+    kmax = min(n - 1, nfft - n)  # K
     spec = _rfft_rows(chain._centered, nfft)
     out = np.empty((kmax + 1, p, p))
     for j in range(p):

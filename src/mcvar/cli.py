@@ -61,6 +61,23 @@ class _Parser(argparse.ArgumentParser):
 
 NPY_MAGIC = b"\x93NUMPY"
 
+#: The flags each experiment reads; cmd_experiment refuses any other.
+EXPERIMENT_FLAGS = {
+    "ar1-coverage": ("--phi", "--n", "--n-grid", "--reps", "--seed", "--alpha", "--methods", "--out"),
+    "ar1-ess": ("--phi", "--n", "--n-grid", "--reps", "--seed", "--methods", "--out"),
+    "mixture": ("--n", "--seed", "--proposal-sd", "--out"),
+    "logistic": ("--n", "--seed", "--n-obs", "--p-coef", "--out"),
+    "bench": ("--n", "--seed", "--p-coef", "--reps", "--out"),
+}
+
+
+class _Given(argparse.Action):
+    """Store a flag's value and add the flag to namespace.given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.option_strings[-1]}
+
 
 @dataclass(frozen=True)
 class ChainFile:
@@ -318,6 +335,9 @@ def cmd_miness(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    unread = sorted(args.given - set(EXPERIMENT_FLAGS[args.name]))
+    if unread:
+        raise ValueError(f"experiment {args.name} does not read {', '.join(unread)}")
     if args.name in ("mixture", "logistic"):
         if args.name == "mixture":
             chain = mixture_mh_generate(MixtureConfig(n=args.n, seed=args.seed, proposal_sd=args.proposal_sd))
@@ -389,8 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
 
     p_exp = sub.add_parser("experiment", help="run a replication study or benchmark")
-    p_exp.set_defaults(run=cmd_experiment)
-    p_exp.add_argument("name", choices=["ar1-coverage", "ar1-ess", "mixture", "logistic", "bench"])
+    p_exp.set_defaults(run=cmd_experiment, given=frozenset())
+    p_exp.add_argument("name", choices=list(EXPERIMENT_FLAGS))
+    p_exp.register("action", None, _Given)  # each flag added below records that it was given
     p_exp.add_argument("--phi", type=float, default=0.92)
     p_exp.add_argument("--n", type=int, default=50000)
     p_exp.add_argument("--n-grid", default=None, help="comma-separated chain lengths")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import SampleMatrix, sample_covariance
-from .lrv import LrvEstimate, NotPositiveDefinite, chol_logdet, matrix_of
+from .lrv import LrvEstimate, NotPositiveDefinite, matrix_of, pd_logdet
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,6 @@ def chi2_quantile(prob: float, df: int) -> float:
     return float(2.0 * gammaincinv(df / 2.0, prob))
 
 
-def _pd_logdet(sigma, what: str) -> float:
-    pd, logdet, _ = chol_logdet(matrix_of(sigma))
-    if not pd:
-        raise NotPositiveDefinite(f"{what} is not positive definite")
-    return logdet
-
-
 def _log_unit_ball(p: int) -> float:
     """Log-volume of the unit ball in R^p: log(2 pi^(p/2) / (p Gamma(p/2)))."""
     from scipy.special import gammaln
@@ -98,21 +91,18 @@ def _volume(logdet: float, p: int, n: int, alpha: float) -> float:
 def region_volume(sigma: LrvEstimate | np.ndarray, n: int, alpha: float) -> float:
     """Volume of the 100(1-alpha)% confidence ellipsoid for the mean vector."""
     m = matrix_of(sigma)
-    return _volume(_pd_logdet(m, "the long-run variance estimate"), m.shape[0], n, alpha)
+    return _volume(pd_logdet(m, "the long-run variance estimate")[0], m.shape[0], n, alpha)
 
 
 def region_contains(theta0, theta_bar, sigma: LrvEstimate | np.ndarray, n: int, alpha: float) -> bool:
     """Whether theta0 lies inside the confidence ellipsoid centered at theta_bar."""
     m = matrix_of(sigma)
-    p = m.shape[0]
-    pd, _, factor = chol_logdet(m)
-    if not pd:
-        raise NotPositiveDefinite("the long-run variance estimate is not positive definite")
+    factor = pd_logdet(m, "the long-run variance estimate")[1]
     from scipy.linalg import cho_solve
 
     d = np.atleast_1d(np.asarray(theta_bar, float)) - np.atleast_1d(np.asarray(theta0, float))
     stat = n * float(d @ cho_solve((factor, True), d))
-    return stat < chi2_quantile(1.0 - alpha, p)
+    return stat < chi2_quantile(1.0 - alpha, m.shape[0])
 
 
 def _ess_terms(chain: SampleMatrix, sigma: LrvEstimate | np.ndarray) -> tuple[float, float, float]:
@@ -121,8 +111,8 @@ def _ess_terms(chain: SampleMatrix, sigma: LrvEstimate | np.ndarray) -> tuple[fl
     m = matrix_of(sigma)
     if m.shape[0] != chain.p:
         raise ValueError(f"estimate has dimension {m.shape[0]}, chain has {chain.p}")
-    logdet_sigma = _pd_logdet(m, "the long-run variance estimate")
-    logdet_lambda = _pd_logdet(sample_covariance(chain), "the sample covariance")
+    logdet_sigma = pd_logdet(m, "the long-run variance estimate")[0]
+    logdet_lambda = pd_logdet(sample_covariance(chain), "the sample covariance")[0]
     return logdet_sigma, logdet_lambda, chain.n * math.exp((logdet_lambda - logdet_sigma) / chain.p)
 
 

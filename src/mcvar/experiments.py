@@ -227,15 +227,14 @@ def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
     return estimate
 
 
-def standard_grid(lugsails: Sequence[str] = ("none", "zero", "over"),
-                  methods: Sequence[str] = ("bm",)) -> dict[str, Estimator]:
-    """Labelled estimator grid like the replication studies use."""
+def standard_grid(methods: Sequence[str] = ("bm",)) -> dict[str, Estimator]:
+    """Labelled grid of each method under no, zero and over lugsail, as the studies use."""
     grid: dict[str, Estimator] = {}
     for method in methods:
         if method.startswith("initseq"):
             grid[method] = make_estimator(method)
             continue
-        for lug in lugsails:
+        for lug in ("none", "zero", "over"):
             label = method if lug == "none" else f"{method}-{lug}"
             grid[label] = make_estimator(method, lugsail=lug)
     return grid

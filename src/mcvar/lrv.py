@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-#: Relative eigenvalue / Cholesky-pivot tolerance used for PSD and PD checks.
+#: Relative floors of the PD test (squared Cholesky pivot / its diagonal entry) and the PSD check.
 REL_TOL = 1e-10
 PSD_EIG_TOL = 1e-12
 
@@ -19,29 +20,30 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def is_psd(m: np.ndarray) -> bool:
-    """Symmetric PSD test: eigenvalues no smaller than -PSD_EIG_TOL * max |eigenvalue|."""
-    eig = np.linalg.eigvalsh(symmetrize(m))
-    scale = max(np.abs(eig).max(), 1e-300)
-    return bool(eig.min() >= -PSD_EIG_TOL * scale)
-
-
 def chol_logdet(m: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
-    """Cholesky-based PD test and log-determinant.
+    """The positive-definiteness test, and the log-determinant and lower factor.
 
-    Returns (pd, logdet, factor). pd is True when the factorization succeeds
-    and the smallest squared pivot is at least REL_TOL times the largest,
-    in which case logdet is the log-determinant and factor the lower factor.
-    """
+    Returns (pd, logdet, factor).  pd is True when the Cholesky factorization
+    succeeds and each squared pivot, 1 - R^2 of its component on the earlier
+    ones times its variance, is at least REL_TOL times that variance: a test
+    that rescaling a component does not change."""
     m = np.asarray(m, float)
     try:
         lower = np.linalg.cholesky(symmetrize(m))
     except np.linalg.LinAlgError:
         return False, -np.inf, None
     piv = np.diag(lower) ** 2
-    if piv.min() < REL_TOL * piv.max():
+    if np.any(piv < REL_TOL * np.diag(m)):
         return False, -np.inf, None
     return True, float(np.log(piv).sum()), lower
+
+
+def pd_logdet(m: np.ndarray, what: str) -> tuple[float, np.ndarray]:
+    """chol_logdet's (logdet, factor), or NotPositiveDefinite naming the matrix as what."""
+    pd, logdet, factor = chol_logdet(m)
+    if not pd:
+        raise NotPositiveDefinite(f"{what} is not positive definite")
+    return logdet, factor
 
 
 #: The named lugsail regimes, name -> (r, c).  c=None is the adaptive
@@ -65,9 +67,9 @@ def adaptive_c(n: int, b: int) -> float:
 @dataclass(frozen=True)
 class LugsailConfig:
     """Parameters of the two-scale lugsail bias correction, and the only code
-    that knows what they mean: __post_init__ is the only (r, c) check and
-    resolve() the only place a correction meets a concrete (n, b), for every
-    estimator family and the exact AR(1) bias.
+    that knows what they mean: __post_init__ is the only (r, c) check, resolve()
+    the only place a correction meets a concrete (n, b) and mix() the only
+    formula, for every estimator family and the exact AR(1) bias.
 
     r is finite and >= 1; c lies in [0, 1), or is None for the adaptive
     weight.  regime is a name in REGIMES, whose (r, c) it must carry (the
@@ -126,14 +128,19 @@ class LugsailConfig:
             return None
         return self if self.c is not None else replace(self, c=adaptive_c(n, b))
 
+    def mix(self, big, small):
+        """big/(1-c) - small*c/(1-c) at scales b and b/r, or big for a no-op or equal inputs."""
+        if self.noop or np.array_equal(big, small):
+            return big
+        return big / (1.0 - self.c) - small * (self.c / (1.0 - self.c))
+
 
 @dataclass(frozen=True, eq=False)
 class LrvEstimate:
     """A p x p long-run covariance estimate plus the method that produced it.
 
     matrix is symmetric but, for lugsail combinations, not necessarily
-    positive semidefinite; psd records the check so downstream determinant
-    code can refuse early instead of failing inside a factorization.
+    positive semidefinite; psd runs that check when it is first read.
     """
 
     matrix: np.ndarray
@@ -141,7 +148,6 @@ class LrvEstimate:
     b: int | None = None
     window: str | None = None
     lugsail: LugsailConfig | None = None
-    psd: bool = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, float)
@@ -150,7 +156,12 @@ class LrvEstimate:
         m = symmetrize(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "psd", is_psd(m))
+
+    @cached_property
+    def psd(self) -> bool:
+        """No eigenvalue below -PSD_EIG_TOL * max |eigenvalue|."""
+        eig = np.linalg.eigvalsh(self.matrix)
+        return bool(eig.min() >= -PSD_EIG_TOL * max(np.abs(eig).max(), 1e-300))
 
     @property
     def p(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import SampleMatrix
-from .lrv import LugsailConfig, NotPositiveDefinite, chol_logdet, matrix_of
+from .lrv import matrix_of, pd_logdet
 
 _NDTRI_CLIP = 1e-15
 
@@ -163,14 +163,10 @@ def estimate_omega(chain: SampleMatrix, targets: list[TargetSpec], estimator=Non
     """
     nu, transformed = _estimates_and_transform(chain, targets)
     if estimator is None:
-        from .batch import default_batch_size, lugsail_batch_means
+        from .experiments import make_estimator
 
-        zero = LugsailConfig.named("zero")
-        b = default_batch_size(chain.n, "sqrt", r=zero.r)
-        est = lugsail_batch_means(transformed, b, zero)
-    else:
-        est = estimator(transformed)
-    return JointEstimate(nu_hat=nu, omega=est.matrix, n=chain.n, targets=tuple(targets))
+        estimator = make_estimator("bm", lugsail="zero")
+    return JointEstimate(nu_hat=nu, omega=estimator(transformed).matrix, n=chain.n, targets=tuple(targets))
 
 
 def _genz_batch(lower, upper, factor, points) -> np.ndarray:
@@ -221,7 +217,8 @@ def mvn_rect_prob(center, covariance, rect, tol: float = 1e-3, seed=0) -> float:
     interval width, the integrand is averaged over independent shifts, and
     the point count N grows from 2^7 until the standard-error estimate of
     the average is at most tol, with a warning if the budget runs out first.
-    Univariate input is evaluated exactly.  Deterministic for a fixed seed.
+    Univariate input has a constant integrand, so the first pass returns it to
+    rounding.  Deterministic for a fixed seed.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -233,23 +230,12 @@ def mvn_rect_prob(center, covariance, rect, tol: float = 1e-3, seed=0) -> float:
     upper = r[:, 1] - c
     if np.any(upper < lower):
         raise ValueError("rectangle has inverted bounds")
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("covariance is not positive definite") from None
-
-    if p == 1:
-        from scipy.special import ndtr
-
-        sd = factor[0, 0]
-        return float(ndtr(upper[0] / sd) - ndtr(lower[0] / sd))
-
     # Narrow (standardized) intervals constrain the integrand most, so
-    # condition on them first.
-    width = (upper - lower) / np.sqrt(np.diag(cov))
-    order = np.argsort(width, kind="stable")
+    # condition on them first; a variance <= 0 then fails the factorization.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        order = np.argsort((upper - lower) / np.sqrt(np.diag(cov)), kind="stable")
     lower, upper = lower[order], upper[order]
-    factor = np.linalg.cholesky(cov[np.ix_(order, order)])
+    factor = pd_logdet(cov[np.ix_(order, order)], "covariance")[1]
 
     generators = np.sqrt(_first_primes(p - 1)) % 1.0
     ss = np.random.SeedSequence(seed)
@@ -292,8 +278,7 @@ def solve_z_star(joint: JointEstimate, alpha: float, seed=0) -> SimultaneousRegi
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     omega = joint.omega
-    if not chol_logdet(omega)[0]:
-        raise NotPositiveDefinite("joint covariance omega is not positive definite")
+    pd_logdet(omega, "joint covariance omega")
     from scipy.special import ndtri
 
     target = 1.0 - alpha

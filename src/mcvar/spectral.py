@@ -92,17 +92,12 @@ def lugsail_window(base: LagWindow, r: float, c: float) -> LagWindow:
     Over-lugsail settings (r > 1/c) lift the weights above 1 near the
     origin, which flips the first-order bias positive.
     """
-    if LugsailConfig(r=r, c=c, regime="custom").noop:
+    config = LugsailConfig(r=r, c=c, regime="custom")
+    if config.noop:
         return base
-    scale_big = 1.0 / (1.0 - c)
-    scale_small = c / (1.0 - c)
-
-    def fn(ax: np.ndarray, _f=base.fn, _r=r) -> np.ndarray:
-        return scale_big * _f(ax) - scale_small * _f(_r * ax)
-
-    k_q = base.k_q * (1.0 - c * r**base.q) / (1.0 - c)
-    return LagWindow(f"lugsail({base.name}, r={r:g}, c={c:g})", support=base.support,
-                     q=base.q, k_q=k_q, fn=fn)
+    return LagWindow(f"lugsail({base.name}, r={r:g}, c={c:g})", support=base.support, q=base.q,
+                     k_q=config.mix(base.k_q, base.k_q * r**base.q),
+                     fn=lambda ax: config.mix(base.fn(ax), base.fn(r * ax)))
 
 
 def _weight_spectrum(window: LagWindow, b: int, n: int, nfft: int) -> np.ndarray:
@@ -157,7 +152,7 @@ def spectral_variance(chain: SampleMatrix, window: LagWindow, b: int) -> LrvEsti
 
 
 def lugsail_spectral_variance(chain: SampleMatrix, base: LagWindow, b: int,
-                              r: float, c: float | None = None) -> LrvEstimate:
+                              r: float, c: float | None) -> LrvEstimate:
     """Spectral variance under the lugsail transform of a base window.
 
     Implemented through the transformed window (rather than mixing two

@@ -74,6 +74,17 @@ def lugsail_cases(draw):
     return values, float(r), b, draw(st.floats(0.0, 0.9))
 
 
+@st.composite
+def ar1_chains(draw):
+    """An n x p chain (n <= 2000) of AR(1) columns sharing a component, so
+    that the off-diagonal entries are not all near 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(200, 2000)), draw(st.integers(1, 3))
+    x = ar1_paths(rng, p, n, draw(st.floats(-0.5, 0.95))).T
+    x[:, 1:] += 0.5 * x[:, :1]
+    return x
+
+
 def assert_lugsail_mix(got, big, small, c: float, rel: float) -> None:
     """got == (big - c * small) / (1 - c) within rel of the inputs' scale.
 

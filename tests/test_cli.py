@@ -294,6 +294,15 @@ class TestEssCommand:
         ratio = json.loads(out)["ess_per_n"]
         assert 0.2 < ratio < 0.5  # truth for phi=0.5 is 1/3
 
+    def test_units_of_a_column_do_not_change_ess(self, capsys, tmp_path):
+        values = ar1_generate(Ar1Config(phi=0.9, n=20_000, seed=1, p=2)).values * [1.0, 1e-5]
+        np.savetxt(tmp_path / "scaled.csv", values, delimiter=",")
+        np.savetxt(tmp_path / "unscaled.csv", values / [1.0, 1e-5], delimiter=",")
+        for command in ("ess", "stopcheck"):
+            runs = [run(capsys, command, str(tmp_path / f)) for f in ("scaled.csv", "unscaled.csv")]
+            assert runs[0][0] == runs[1][0] != EXIT_NUMERICAL
+            assert json.loads(runs[0][1])["ess"] == pytest.approx(json.loads(runs[1][1])["ess"], rel=1e-12)
+
     def test_empty_file_is_input_error(self, capsys, tmp_path):
         f = tmp_path / "empty.csv"
         f.write_text("")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammaln
 
@@ -19,6 +21,9 @@ from mcvar import (
     region_volume,
     sample_covariance,
 )
+from mcvar.experiments import make_estimator
+
+from conftest import ar1_chains
 
 CHI2_95_1 = 3.8414588206941236
 
@@ -232,6 +237,32 @@ class TestFixedVolumeCheck:
         chain = SampleMatrix(np.random.default_rng(0).standard_normal((50, 2)))
         with pytest.raises(NotPositiveDefinite):
             fixed_volume_check(chain, np.array([[1.0, 0.0], [0.0, -2.0]]), StoppingConfig())
+
+
+@pytest.mark.parametrize("method", ["bm", "obm", "sv", "initseq"])
+class TestColumnScales:
+    """ESS and the stopping decision do not depend on the components' units."""
+
+    @given(ar1_chains(), st.lists(st.floats(-8.0, 8.0), min_size=3, max_size=3))
+    def test_ess_is_scale_free(self, method, x, log_scales):
+        d = 10.0 ** np.array(log_scales[: x.shape[1]])
+        estimate = make_estimator(method)
+        base, scaled = SampleMatrix(x), SampleMatrix(x * d)
+        assert ess(scaled, estimate(scaled)) == pytest.approx(ess(base, estimate(base)), rel=1e-9)
+
+    @given(ar1_chains(), st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3), st.floats(0.01, 1.0))
+    def test_stopping_decision_is_scale_free(self, method, x, log_scales, epsilon):
+        # Vol^(1/p) and epsilon |Lambda|^(1/2p) both scale by det(D)^(1/p),
+        # but the rule pads the volume by 1/n, which does not scale; so these
+        # scales, each in [1e-8, 1e8], keep det(D) = 1.
+        e = np.array(log_scales[: x.shape[1]])
+        d = 10.0 ** (e - e.mean())
+        estimate, config = make_estimator(method), StoppingConfig(epsilon=epsilon, n_star=1)
+        base, scaled = SampleMatrix(x), SampleMatrix(x * d)
+        want = fixed_volume_check(base, estimate(base), config)
+        got = fixed_volume_check(scaled, estimate(scaled), config)
+        assert got.terminate == want.terminate
+        assert (got.lhs, got.rhs, got.ess) == pytest.approx((want.lhs, want.rhs, want.ess), rel=1e-9)
 
 
 class TestLrvEstimateFlag:

@@ -89,13 +89,12 @@ SETTINGS = {
     "experiments.make_estimator(b)", "experiments.make_estimator(batch_rule)",
     "experiments.make_estimator(c)", "experiments.make_estimator(lugsail)", "experiments.make_estimator(r)",
     "experiments.make_estimator(window)", "experiments.ordering_ok(slack)",
-    "experiments.standard_grid(lugsails)", "experiments.standard_grid(methods)",
+    "experiments.standard_grid(methods)",
     "experiments.timing_bench(repetitions)",
     "lrv.LrvEstimate.b", "lrv.LrvEstimate.lugsail", "lrv.LrvEstimate.window",
     "lrv.LugsailConfig.c", "lrv.LugsailConfig.r", "lrv.LugsailConfig.regime",
     "quantiles.JointEstimate.targets", "quantiles.TargetSpec.q", "quantiles.estimate_omega(estimator)",
     "quantiles.mvn_rect_prob(seed)", "quantiles.mvn_rect_prob(tol)", "quantiles.solve_z_star(seed)",
-    "spectral.lugsail_spectral_variance(c)",
     "mcvar estimate --b", "mcvar estimate --c", "mcvar estimate --columns", "mcvar estimate --lugsail",
     "mcvar estimate --method", "mcvar estimate --out", "mcvar estimate --r", "mcvar estimate --window",
     "mcvar ess --b", "mcvar ess --c", "mcvar ess --columns", "mcvar ess --lugsail", "mcvar ess --method",

@@ -222,8 +222,15 @@ class TestMvnRectProb:
         assert abs(a - b) <= 3 * tol
 
     def test_rejects_non_pd_covariance(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="covariance is not positive definite"):
             mvn_rect_prob([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]), [[-1, 1], [-1, 1]])
+
+    def test_integrates_a_component_of_tiny_variance(self):
+        # positive definiteness is judged per component, not against the
+        # largest variance
+        z = 1.959964
+        got = mvn_rect_prob([0.0, 0.0], np.diag([1.0, 1e-12]), [[-z, z], [-z * 1e-6, z * 1e-6]], seed=5)
+        assert got == pytest.approx(0.95**2, abs=3e-3)
 
     def test_unreachable_tolerance_warns_instead_of_spinning(self):
         cov = 0.5 * np.eye(4) + 0.5

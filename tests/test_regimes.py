@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcvar import (
     BARTLETT,
@@ -25,6 +27,9 @@ from mcvar import (
 from mcvar.cli import EXIT_OK, EXIT_USAGE, main
 from mcvar.experiments import METHODS as FACTORY_METHODS, Ar1Config, ar1_generate, make_estimator
 from mcvar.lrv import REGIMES
+from mcvar.spectral import WINDOWS
+
+from conftest import ar1_chains
 
 METHODS = ("bm", "obm", "sv", "initseq", "initseq-adj")
 REGIME_RC = {"none": (1.0, 0.0), "zero": (2.0, 0.5), "adaptive": (2.0, None), "over": (3.0, 0.5)}
@@ -112,3 +117,43 @@ def test_cli_adjusted_initial_sequence(capsys, tmp_path):
     assert main(["estimate", str(path), "--method", "initseq-adj"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["sigma"] == [[1.875]]
     assert main(["estimate", str(path), "--method", "initseq-adj", "--lugsail", "over"]) == EXIT_USAGE
+
+
+# Every estimator the factory builds: bm and obm under each regime, sv under
+# each window and regime, and both initial-sequence variants.
+ESTIMATORS = {
+    **{f"{m}-{g}": make_estimator(m, lugsail=g) for m in ("bm", "obm") for g in REGIME_RC},
+    **{f"sv-{w}-{g}": make_estimator("sv", lugsail=g, window=w) for w in WINDOWS for g in REGIME_RC},
+    "initseq": initial_sequence,
+    "initseq-adj": adjusted_initial_sequence,
+}
+
+
+def assert_close_to(got, want, rel: float) -> None:
+    """got == want within rel of want's largest entry, floored as in assert_lugsail_mix."""
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("label", ESTIMATORS)
+@given(ar1_chains(), st.lists(st.floats(-8.0, 8.0), min_size=3, max_size=3))
+def test_column_scaling_is_equivariant(label, x, log_scales):
+    # Sigma(X D) = D Sigma(X) D for positive diagonal D; the initial-sequence
+    # scans truncate at the same s_n and t_n.  Clipping the negative
+    # eigenvalues of each pair sum is not scale-equivariant, so the adjusted
+    # variant's matrix is not compared.
+    d = 10.0 ** np.array(log_scales[: x.shape[1]])
+    estimate = ESTIMATORS[label]
+    base, scaled = estimate(SampleMatrix(x)), estimate(SampleMatrix(x * d))
+    if label.startswith("initseq"):
+        assert (scaled.s_n, scaled.t_n) == (base.s_n, base.t_n)
+    if label != "initseq-adj":
+        assert_close_to(scaled.matrix / np.outer(d, d), base.matrix, 1e-12)
+
+
+@pytest.mark.parametrize("label", ESTIMATORS)
+@given(ar1_chains(), st.permutations(range(3)))
+def test_column_permutation_is_equivariant(label, x, order):
+    perm = [j for j in order if j < x.shape[1]]
+    estimate = ESTIMATORS[label]
+    base, permuted = estimate(SampleMatrix(x)), estimate(SampleMatrix(x[:, perm]))
+    assert_close_to(permuted.matrix, base.matrix[np.ix_(perm, perm)], 1e-12)
