@@ -176,20 +176,15 @@ def load_chain(spec: ChainFile) -> SampleMatrix:
         raise ChainFileError(f"{spec.path}: {exc}") from exc
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _plain(obj):
+    """json's default= hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def emit_json(payload) -> None:
-    print(json.dumps(_jsonable(payload), indent=2))
+    print(json.dumps(payload, indent=2, default=_plain))
 
 
 def _flat_items(payload: dict):
@@ -214,30 +209,12 @@ def emit(report, out: str) -> None:
     if out == "json":
         emit_json(report)
         return
-    report = _jsonable(report)
+    report = json.loads(json.dumps(report, default=_plain))  # the values JSON would print
     if isinstance(report, dict):
         rows = [["key", "value"], *_flat_items(report)]
     else:
         rows = [list(report[0]), *([row[k] for k in report[0]] for row in report)] if report else []
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
-
-
-def estimator_from_args(args) -> tuple:
-    """Build (estimator, metadata); make_estimator validates the values, this
-    only refuses flags that the chosen method or regime would ignore."""
-    if args.window is not None and args.method != "sv":
-        raise ValueError("--window is only valid with --method sv")
-    if (args.r is not None or args.c is not None) and args.lugsail != "custom":
-        raise ValueError("--r/--c are only valid with --lugsail custom")
-    window = args.window or "bartlett"
-    estimator = make_estimator(args.method, b=args.b, lugsail=args.lugsail,
-                               r=args.r, c=args.c, window=window)
-    meta = {"family": args.method, "lugsail": args.lugsail}
-    if args.method == "sv":
-        meta["window"] = window
-    if args.lugsail == "custom":
-        meta["r"], meta["c"] = args.r, args.c
-    return estimator, meta
 
 
 def parse_targets(text: str) -> list[TargetSpec]:
@@ -262,12 +239,25 @@ def parse_targets(text: str) -> list[TargetSpec]:
 def run_chain_command(args) -> int:
     """estimate, ess, stopcheck and simci: flags, then targets, then the chain
     file are checked in that order; args.report builds the report and exit code."""
-    estimator, meta = estimator_from_args(args)
+    estimator = make_estimator(args.method, b=args.b, lugsail=args.lugsail, r=args.r, c=args.c,
+                               window=args.window)
     targets = parse_targets(args.targets) if args.command == "simci" else None
     chain = load_chain(sniff_chain_file(args.file, args.columns))
-    report, code = args.report(args, chain, estimator, meta, targets)
+    # an overflow shows as a non-finite estimate, which LrvEstimate refuses (exit 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report, code = args.report(args, chain, estimator, _method_block(args), targets)
     emit(report, args.out)
     return code
+
+
+def _method_block(args) -> dict:
+    """The reports' method object: the flags that chose the estimator."""
+    meta = {"family": args.method, "lugsail": args.lugsail}
+    if args.method == "sv":
+        meta["window"] = args.window or "bartlett"
+    if args.lugsail == "custom":
+        meta["r"], meta["c"] = args.r, args.c
+    return meta
 
 
 def _estimate_report(args, chain, estimator, meta, targets):

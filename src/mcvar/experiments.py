@@ -191,16 +191,22 @@ METHODS = ("bm", "obm", "sv", "initseq", "initseq-adj")
 
 def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
                    r: float | None = None, c: float | None = None,
-                   window: str = "bartlett", batch_rule: str = "sqrt") -> Estimator:
-    """Build a named estimator callable for studies and the command line.
+                   window: str | None = None, batch_rule: str = "sqrt") -> Estimator:
+    """Build a named estimator callable for studies and the command line,
+    which checks none of these settings itself.
 
-    method is one of METHODS; lugsail is a regime name in REGIMES or custom
-    (custom requires r and c).  b=None picks the batch size (or truncation
+    method is one of METHODS; window (default bartlett) is for sv only;
+    lugsail is a regime name in REGIMES or custom, the one regime that takes
+    r and c and needs both.  b=None picks the batch size (or truncation
     point) from batch_rule at call time.  The initial-sequence methods take
     neither a lugsail adjustment nor b: their scan picks its own truncation.
     """
     if method not in METHODS:
         raise ValueError(f"unknown estimator method {method!r}")
+    if window is not None and method != "sv":
+        raise ValueError("--window is only valid with --method sv")
+    if (r is not None or c is not None) and lugsail != "custom":
+        raise ValueError("--r/--c are only valid with --lugsail custom")
     if method.startswith("initseq"):
         if lugsail != "none":
             raise ValueError(f"{method} takes no lugsail adjustment")
@@ -211,10 +217,10 @@ def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
     if lugsail == "custom":
         if r is None or c is None:
             raise ValueError("custom lugsail needs both r and c")
-        config = LugsailConfig.classify(float(r), float(c))
+        config = LugsailConfig(float(r), float(c))
     else:
         config = LugsailConfig.named(lugsail)
-    win = get_window(window) if method == "sv" else None
+    win = get_window(window or "bartlett") if method == "sv" else None
 
     def estimate(chain: SampleMatrix) -> LrvEstimate:
         bb = b if b is not None else default_batch_size(chain.n, batch_rule, r=config.r)
@@ -316,23 +322,20 @@ def timing_bench(chain: SampleMatrix, estimators: dict[str, Estimator],
 
     Each repetition runs on a fresh copy of the matrix so per-chain caches
     (the shared FFT of the centered columns) cannot subsidize later calls.
+    The repetitions run round-robin across the estimators, so host drift
+    during the run reaches every estimator alike.
     """
     if repetitions < 1:
         raise ValueError(f"need at least 1 repetition, got {repetitions}")
-    rows = []
-    for name, estimate in estimators.items():
-        times = []
-        for _ in range(repetitions):
+    times = {name: [] for name in estimators}
+    for _ in range(repetitions):
+        for name, estimate in estimators.items():
             fresh = SampleMatrix(chain.values)
             t0 = time.perf_counter()
             estimate(fresh)
-            times.append(time.perf_counter() - t0)
-        rows.append({
-            "estimator": name,
-            "median_seconds": float(np.median(times)),
-            "repetitions": repetitions,
-        })
-    return rows
+            times[name].append(time.perf_counter() - t0)
+    return [{"estimator": name, "median_seconds": float(np.median(t)), "repetitions": repetitions}
+            for name, t in times.items()]
 
 
 def median_times(rows: list[dict]) -> dict[str, float]:

@@ -26,8 +26,10 @@ def chol_logdet(m: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
     Returns (pd, logdet, factor).  pd is True when the Cholesky factorization
     succeeds and each squared pivot, 1 - R^2 of its component on the earlier
     ones times its variance, is at least REL_TOL times that variance: a test
-    that rescaling a component does not change."""
+    that rescaling a component does not change.  A non-finite matrix fails."""
     m = np.asarray(m, float)
+    if not np.isfinite(m).all():
+        return False, -np.inf, None
     try:
         lower = np.linalg.cholesky(symmetrize(m))
     except np.linalg.LinAlgError:
@@ -73,18 +75,23 @@ class LugsailConfig:
 
     r is finite and >= 1; c lies in [0, 1), or is None for the adaptive
     weight.  regime is a name in REGIMES, whose (r, c) it must carry (the
-    adaptive regime may carry its resolved weight), or custom.
+    adaptive regime may carry its resolved weight), or custom; left out, it
+    is the table entry that (r, c) equal exactly, else custom (so is c=0 at
+    r > 1, whose r still sets the default batch size).
     """
 
     r: float = 1.0
     c: float | None = 0.0
-    regime: str = "none"
+    regime: str | None = None
 
     def __post_init__(self):
         if not 1 <= self.r < math.inf:
             raise ValueError(f"lugsail ratio r must be finite and >= 1, got {self.r}")
         if self.c is not None and not 0.0 <= self.c < 1.0:
             raise ValueError(f"lugsail weight c must lie in [0, 1), got {self.c}")
+        if self.regime is None:
+            name = next((k for k, rc in REGIMES.items() if rc == (self.r, self.c)), "custom")
+            object.__setattr__(self, "regime", name)
         if self.regime == "custom":
             return
         if self.regime not in REGIMES:
@@ -100,18 +107,6 @@ class LugsailConfig:
             raise ValueError(f"unknown lugsail regime {name!r}")
         r, c = REGIMES[name]
         return cls(r=r, c=c, regime=name)
-
-    @classmethod
-    def classify(cls, r: float, c: float | None) -> "LugsailConfig":
-        """Tag (r, c) with the regime name they correspond to.
-
-        Only an exact table entry gets its name; anything else (c=0 at r > 1,
-        whose r still sets the default batch size, or c=None at r != 2) is custom.
-        """
-        for name, rc in REGIMES.items():
-            if (r, c) == rc:
-                return cls(r=r, c=c, regime=name)
-        return cls(r=r, c=c, regime="custom")
 
     @property
     def noop(self) -> bool:
@@ -139,8 +134,9 @@ class LugsailConfig:
 class LrvEstimate:
     """A p x p long-run covariance estimate plus the method that produced it.
 
-    matrix is symmetric but, for lugsail combinations, not necessarily
-    positive semidefinite; psd runs that check when it is first read.
+    matrix is finite (else NotPositiveDefinite) and symmetric but, for lugsail
+    combinations, not necessarily positive semidefinite; psd runs that check
+    when it is first read.
     """
 
     matrix: np.ndarray
@@ -153,6 +149,8 @@ class LrvEstimate:
         m = np.asarray(self.matrix, float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"estimate must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NotPositiveDefinite(f"the {self.family} estimate is not finite")
         m = symmetrize(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -55,7 +55,6 @@ class JointEstimate:
     nu_hat: np.ndarray
     omega: np.ndarray
     n: int
-    targets: tuple[TargetSpec, ...] = ()
 
     @property
     def p(self) -> int:
@@ -68,7 +67,6 @@ class SimultaneousRegion:
 
     z_star: float
     intervals: np.ndarray  # (p, 2) rows [lo, hi]
-    coverage_target: float
 
 
 def quantile_estimate(values, q: float) -> float:
@@ -166,7 +164,7 @@ def estimate_omega(chain: SampleMatrix, targets: list[TargetSpec], estimator=Non
         from .experiments import make_estimator
 
         estimator = make_estimator("bm", lugsail="zero")
-    return JointEstimate(nu_hat=nu, omega=estimator(transformed).matrix, n=chain.n, targets=tuple(targets))
+    return JointEstimate(nu_hat=nu, omega=estimator(transformed).matrix, n=chain.n)
 
 
 def _genz_batch(lower, upper, factor, points) -> np.ndarray:
@@ -300,7 +298,7 @@ def solve_z_star(joint: JointEstimate, alpha: float, seed=0) -> SimultaneousRegi
             hi = mid
     z = 0.5 * (lo + hi)
     intervals = np.column_stack([joint.nu_hat - z * sds, joint.nu_hat + z * sds])
-    return SimultaneousRegion(z_star=z, intervals=intervals, coverage_target=target)
+    return SimultaneousRegion(z_star=z, intervals=intervals)
 
 
 __all__ = [

@@ -158,9 +158,9 @@ def lugsail_spectral_variance(chain: SampleMatrix, base: LagWindow, b: int,
     Implemented through the transformed window (rather than mixing two
     estimates at b and floor(b/r)) so non-integer b/r needs no special
     casing; the two forms coincide when r divides b exactly.  c=None uses
-    the adaptive weight, at any r; the result is tagged LugsailConfig.classify(r, c).
+    the adaptive weight, at any r; the result carries the regime LugsailConfig(r, c) names.
     """
-    config = LugsailConfig.classify(r, c)
+    config = LugsailConfig(r, c)
     _check_truncation(chain.n, b)
     applied = config.resolve(chain.n, b)
     if applied is None:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcvar.cli import (
     EXIT_CONTINUE,
@@ -15,7 +19,7 @@ from mcvar.cli import (
     parse_targets,
     sniff_chain_file,
 )
-from mcvar.experiments import Ar1Config, ar1_generate
+from mcvar.experiments import METHODS, Ar1Config, ar1_generate
 
 
 @pytest.fixture
@@ -448,3 +452,73 @@ class TestExitCodePartition:
         out = capsys.readouterr()
         assert code == EXIT_NUMERICAL
         assert "numerical" in out.err
+
+
+# Fields of a fuzzed text file: numbers, non-finite and overflowing tokens,
+# words and empty fields.
+TOKENS = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "1e200", "-1e200", "x", "abc", ""]),
+)
+
+
+@st.composite
+def text_files(draw) -> bytes:
+    """At most 8 rows of at most 4 fields under a random delimiter and line
+    end, with an optional byte-order mark, header and blank or
+    whitespace-only lines."""
+    delimiter = draw(st.sampled_from([",", "\t", ";", " "]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [delimiter.join(row) for row in draw(st.lists(st.lists(TOKENS, min_size=1, max_size=4), max_size=8))]
+    if draw(st.booleans()):
+        lines.insert(0, delimiter.join(f"x{j}" for j in range(draw(st.integers(1, 4)))))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t ", "  "])))
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + "".join(line + end for line in lines).encode()
+
+
+@st.composite
+def npy_files(draw) -> bytes:
+    """A .npy file of at most 8 x 4 values, saved as one of the arrays a chain
+    file may not hold (or may, after a cast)."""
+    n, p = draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    x = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n * p, max_size=n * p)), float).reshape(n, p)
+    array = draw(st.sampled_from([
+        x, x.astype(object), x.astype(complex), np.array(x.sum()), x.reshape(n, p, 1), x[:0],
+        x.astype(np.float16), x > 0, x.astype(">f8"),
+        np.array([tuple(row) for row in x], dtype=[(f"f{j}", float) for j in range(p)]),
+        np.where(x > 0, 1e308, -1e308),
+    ]))
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+class TestFuzzedChainFiles:
+    """Every chain file maps to exit 0, 2, 3 or 4: one stderr line when it is
+    not 0 and none when it is, and never a warning or a traceback."""
+
+    def check(self, tmp_path_factory, data: bytes, method: str, b: int | None):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-chain"
+        path.write_bytes(data)
+        argv = ["estimate", str(path), "--method", method, *(["--b", str(b)] if b else [])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [str(w.message) for w in caught] == []
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_USAGE, EXIT_NUMERICAL)
+        assert len(err.getvalue().splitlines()) == (code != EXIT_OK)
+
+    @settings(max_examples=200)
+    @given(st.one_of(text_files(), st.binary(max_size=64)), st.sampled_from(METHODS), st.sampled_from([None, 1, 2]))
+    def test_text_and_random_bytes(self, tmp_path_factory, data, method, b):
+        self.check(tmp_path_factory, data, method, b)
+
+    @settings(max_examples=100)
+    @given(npy_files(), st.sampled_from(METHODS), st.sampled_from([None, 1]))
+    def test_npy_arrays(self, tmp_path_factory, data, method, b):
+        self.check(tmp_path_factory, data, method, b)

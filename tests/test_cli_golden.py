@@ -39,6 +39,7 @@ BAD_INPUTS = ("{non-utf8.csv}", "{header-only.csv}", "{pickled.npy}", "{3d.npy}"
 # with whitespace-only lines between rows and after the data
 TEXT_INPUTS = ("{bom.csv}", "{blank-first.csv}", "{blank-header.csv}", "{blank-only.csv}", "{blank-rows.csv}")
 SHORT = "{short.csv}"  # 3 rows: too short for every estimator's defaults (exit 3)
+HUGE = "{huge.csv}"  # the chain's signs times 1e200: every estimate overflows (exit 4)
 REGIMES = ("none", "zero", "adaptive", "over")
 FAMILIES = ("bm", "obm", "sv")
 TIMINGS = ("wall_time_s", "median_seconds")
@@ -93,6 +94,11 @@ COMMANDS = [
     *[["estimate", path, "--method", "bm"] for path in BAD_INPUTS],
     *[["estimate", path, "--method", "bm"] for path in TEXT_INPUTS],
     *[["estimate", SHORT, "--method", m] for m in (*FAMILIES, "initseq", "initseq-adj")],
+    # settings the chosen method or regime would ignore (exit 3), and a
+    # non-finite estimate (exit 4)
+    ["estimate", CHAIN, "--method", "bm", "--window", "bartlett"],
+    ["estimate", CHAIN, "--lugsail", "zero", "--r", "2"],
+    *[["estimate", HUGE, "--method", m] for m in (*FAMILIES, "initseq")],
 ]
 
 
@@ -100,7 +106,7 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     """Write every input file into directory; returns placeholder -> path."""
     eps = np.random.default_rng(2024).standard_normal((2000, 3))
     values, _ = lfilter([1.0], [1.0, -0.9], eps, axis=0, zi=np.zeros((1, 3)))
-    paths = {key: str(directory / key.strip("{}")) for key in (CHAIN, NPY, SHORT, *BAD_INPUTS, *TEXT_INPUTS)}
+    paths = {key: str(directory / key.strip("{}")) for key in (CHAIN, NPY, SHORT, HUGE, *BAD_INPUTS, *TEXT_INPUTS)}
     paths[CHAIN] += ".csv"
     np.savetxt(paths[CHAIN], values, delimiter=",")
     np.save(paths[NPY], values)
@@ -121,6 +127,7 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     rows = text.splitlines(keepends=True)
     pathlib.Path(paths["{blank-rows.csv}"]).write_bytes(b"".join([rows[0], b" \t\n", *rows[1:], b"  \n\n \n"]))
     np.savetxt(paths[SHORT], values[:3], delimiter=",")
+    np.savetxt(paths[HUGE], np.sign(values) * 1e200, delimiter=",")
     return paths
 
 

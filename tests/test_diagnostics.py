@@ -22,6 +22,7 @@ from mcvar import (
     sample_covariance,
 )
 from mcvar.experiments import make_estimator
+from mcvar.lrv import chol_logdet
 
 from conftest import ar1_chains
 
@@ -271,3 +272,15 @@ class TestLrvEstimateFlag:
         assert not est.psd
         with pytest.raises(NotPositiveDefinite):
             mcse(est, 100)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_estimate_is_refused(self, bad):
+        with pytest.raises(NotPositiveDefinite, match="the sv estimate is not finite"):
+            LrvEstimate(np.array([[1.0, 0.0], [0.0, bad]]), family="sv", b=4)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_matrix_is_not_positive_definite(bad):
+    for m in (np.array([[bad]]), np.array([[1.0, bad], [bad, 4.0]])):
+        assert chol_logdet(m) == (False, -np.inf, None)
+    assert chol_logdet(np.array([[4.0]]))[:2] == (True, pytest.approx(np.log(4.0)))

@@ -158,6 +158,19 @@ class TestTimingBench:
         assert set(med) == set(grid)
         assert all(t < 1.0 for t in med.values())
 
+    def test_repetitions_run_round_robin_on_fresh_matrices(self, rng):
+        chain, calls = SampleMatrix(rng.standard_normal((50, 2))), []
+
+        def recorder(name):
+            def estimate(fresh):
+                calls.append((name, fresh))
+            return estimate
+
+        rows = timing_bench(chain, {"a": recorder("a"), "b": recorder("b")}, repetitions=3)
+        assert [name for name, _ in calls] == ["a", "b"] * 3
+        assert len({id(fresh) for _, fresh in calls}) == 6 and chain not in [m for _, m in calls]
+        assert [row["estimator"] for row in rows] == ["a", "b"]
+
     def test_ordering_helper(self):
         rows = [
             {"estimator": "a", "median_seconds": 0.01, "repetitions": 3},

@@ -1,5 +1,6 @@
 """The public surface: every exported name exists and each module exports only
-its own, and the settings a caller can change are the ones listed here."""
+its own, and the callables and the settings a caller can reach are the ones
+listed here."""
 import argparse
 import ast
 import dataclasses
@@ -93,7 +94,7 @@ SETTINGS = {
     "experiments.timing_bench(repetitions)",
     "lrv.LrvEstimate.b", "lrv.LrvEstimate.lugsail", "lrv.LrvEstimate.window",
     "lrv.LugsailConfig.c", "lrv.LugsailConfig.r", "lrv.LugsailConfig.regime",
-    "quantiles.JointEstimate.targets", "quantiles.TargetSpec.q", "quantiles.estimate_omega(estimator)",
+    "quantiles.TargetSpec.q", "quantiles.estimate_omega(estimator)",
     "quantiles.mvn_rect_prob(seed)", "quantiles.mvn_rect_prob(tol)", "quantiles.solve_z_star(seed)",
     "mcvar estimate --b", "mcvar estimate --c", "mcvar estimate --columns", "mcvar estimate --lugsail",
     "mcvar estimate --method", "mcvar estimate --out", "mcvar estimate --r", "mcvar estimate --window",
@@ -123,24 +124,69 @@ def _own_dataclass_settings(cls) -> list[str]:
             and (f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)]
 
 
-def test_settings_ledger():
-    found = set()
+def _layer_members():
+    """(label, object) for each public function and class of each layer module,
+    and for each public method of those classes, class and static methods unwrapped."""
     for layer in (m for m in SUBMODULES if not m.startswith("_")):
         module = importlib.import_module(f"mcvar.{layer}")
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
-            if inspect.isfunction(obj):
-                found |= {f"{layer}.{name}({p})" for p in _defaulted(obj)}
-            elif inspect.isclass(obj):
-                if dataclasses.is_dataclass(obj):
-                    found |= {f"{layer}.{name}.{f}" for f in _own_dataclass_settings(obj)}
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield f"{layer}.{name}", obj
+            if inspect.isclass(obj):
                 for attr, member in vars(obj).items():
-                    fn = getattr(member, "__func__", member)  # unwrap class and static methods
+                    fn = getattr(member, "__func__", member)
                     if not attr.startswith("_") and inspect.isfunction(fn):
-                        found |= {f"{layer}.{name}.{attr}({p})" for p in _defaulted(fn)}
+                        yield f"{layer}.{name}.{attr}", fn
+
+
+def test_settings_ledger():
+    found = set()
+    for label, obj in _layer_members():
+        if inspect.isfunction(obj):
+            found |= {f"{label}({p})" for p in _defaulted(obj)}
+        elif dataclasses.is_dataclass(obj):
+            found |= {f"{label}.{f}" for f in _own_dataclass_settings(obj)}
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     found |= {f"mcvar {cmd} {action.option_strings[-1]}" for cmd, parser in sub.choices.items()
               for action in parser._actions
               if action.option_strings and not isinstance(action, argparse._HelpAction)}
     assert found == SETTINGS
+
+
+# Every public function, class and method of a layer module, whether exported
+# or not.  A change that adds or removes one updates this list.
+CALLABLES = {
+    "batch.batch_means", "batch.bm_exact_bias_ar1", "batch.default_batch_size", "batch.lag1_autocorrelation",
+    "batch.lugsail_batch_means", "batch.lugsail_combine", "batch.lugsail_exact_bias_ar1",
+    "batch.lugsail_overlapping_batch_means", "batch.lugsail_policy", "batch.overlapping_batch_means",
+    "chain.LagCovariance", "chain.SampleMatrix", "chain.SampleMatrix.column", "chain.lag_covariance",
+    "chain.lag_covariances_fft", "chain.mean_vector", "chain.sample_covariance",
+    "cli.ChainFile", "cli.ChainFileError", "cli.build_parser", "cli.cmd_experiment", "cli.cmd_miness",
+    "cli.emit", "cli.emit_json", "cli.load_chain", "cli.main", "cli.parse_targets", "cli.run_chain_command",
+    "cli.sniff_chain_file",
+    "diagnostics.StoppingConfig", "diagnostics.StoppingDecision", "diagnostics.chi2_quantile",
+    "diagnostics.ess", "diagnostics.fixed_volume_check", "diagnostics.mcse", "diagnostics.min_ess",
+    "diagnostics.region_contains", "diagnostics.region_volume",
+    "experiments.Ar1Config", "experiments.BiasTruth", "experiments.MixtureConfig",
+    "experiments.ar1_chain_factory", "experiments.ar1_generate", "experiments.ar1_truth",
+    "experiments.coverage_study", "experiments.ess_study", "experiments.logistic_mh_generate",
+    "experiments.make_estimator", "experiments.median_times", "experiments.mh_acceptance_rate",
+    "experiments.mixture_mh_generate", "experiments.ordering_ok", "experiments.standard_grid",
+    "experiments.timing_bench",
+    "initseq.InitSeqResult", "initseq.adjusted_initial_sequence", "initseq.initial_sequence",
+    "lrv.LrvEstimate", "lrv.LrvEstimate.scalar", "lrv.LugsailConfig", "lrv.LugsailConfig.mix",
+    "lrv.LugsailConfig.named", "lrv.LugsailConfig.resolve", "lrv.NotPositiveDefinite", "lrv.adaptive_c",
+    "lrv.chol_logdet", "lrv.matrix_of", "lrv.pd_logdet", "lrv.symmetrize",
+    "quantiles.JointEstimate", "quantiles.SimultaneousRegion", "quantiles.TargetSpec",
+    "quantiles.TargetSpec.label", "quantiles.estimate_omega", "quantiles.joint_transformed_chain",
+    "quantiles.kde_density_at", "quantiles.mvn_rect_prob", "quantiles.quantile_estimate",
+    "quantiles.solve_z_star",
+    "spectral.LagWindow", "spectral.get_window", "spectral.lugsail_spectral_variance",
+    "spectral.lugsail_window", "spectral.spectral_variance",
+}
+
+
+def test_callables_ledger():
+    assert {label for label, _ in _layer_members()} == CALLABLES

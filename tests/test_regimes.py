@@ -75,10 +75,39 @@ def test_factory_matches_direct_call(chain, method, name):
     assert (got.family, got.b, got.lugsail) == (want.family, want.b, want.lugsail)
 
 
-@pytest.mark.parametrize("name", ["none", "zero", "over"])
-def test_classify_maps_table_entries_to_their_names(name):
+@pytest.mark.parametrize("name", sorted(REGIME_RC))
+def test_constructor_names_table_entries(name):
     r, c = REGIME_RC[name]
-    assert LugsailConfig.classify(r, c) == LugsailConfig(r=r, c=c, regime=name)
+    assert LugsailConfig(r=r, c=c).regime == name
+    assert LugsailConfig(r=r, c=c) == LugsailConfig(r=r, c=c, regime=name)
+
+
+@pytest.mark.parametrize("r, c", [(2.5, 0.4), (2.0, 0.0), (3.0, None), (2.0, 0.25)])
+def test_constructor_names_other_parameters_custom(r, c):
+    assert LugsailConfig(r=r, c=c).regime == "custom"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"method": "nope", "window": "nope", "r": 2.0}, "unknown estimator method"),
+    *[({"method": m, "window": "bartlett"}, "--window is only valid with --method sv")
+      for m in ("bm", "obm", "initseq", "initseq-adj")],
+    ({"method": "initseq", "window": "bartlett", "lugsail": "zero", "r": 2.0}, "--window is only valid"),
+    *[({"method": "bm", "lugsail": g, **rc}, "--r/--c are only valid with --lugsail custom")
+      for g in ("none", "zero", "over") for rc in ({"r": 3.0}, {"c": 0.9}, {"r": 3.0, "c": 0.9})],
+    ({"method": "initseq", "lugsail": "zero", "r": 2.0}, "--r/--c are only valid"),
+    ({"method": "initseq", "lugsail": "custom", "r": 2.0, "c": 0.5}, "initseq takes no lugsail adjustment"),
+    ({"method": "initseq-adj", "b": 10}, "initseq-adj takes no batch size b"),
+    ({"method": "sv", "lugsail": "custom", "r": 2.0, "window": "nope"}, "custom lugsail needs both r and c"),
+    ({"method": "bm", "lugsail": "custom", "c": 0.5}, "custom lugsail needs both r and c"),
+    ({"method": "bm", "lugsail": "custom", "r": 0.5, "c": 0.5}, "lugsail ratio r must be finite and >= 1"),
+    ({"method": "obm", "lugsail": "custom", "r": 2.0, "c": 1.0}, "lugsail weight c must lie in"),
+    ({"method": "sv", "lugsail": "bogus", "window": "nope"}, "unknown lugsail regime"),
+    ({"method": "sv", "window": "nope"}, "unknown lag window"),
+])
+def test_make_estimator_refusals(kwargs, message):
+    # one refusal per setting, in the order the command line reports them
+    with pytest.raises(ValueError, match=message):
+        make_estimator(**kwargs)
 
 
 @pytest.mark.parametrize("rho, name", [(0.0, "zero"), (0.8, "adaptive"), (0.99, "over")])
@@ -148,6 +177,19 @@ def test_column_scaling_is_equivariant(label, x, log_scales):
         assert (scaled.s_n, scaled.t_n) == (base.s_n, base.t_n)
     if label != "initseq-adj":
         assert_close_to(scaled.matrix / np.outer(d, d), base.matrix, 1e-12)
+
+
+@pytest.mark.parametrize("label", ESTIMATORS)
+@given(ar1_chains(), st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+def test_shift_leaves_the_estimate_unchanged(label, x, shifts):
+    # Sigma(X + 1 c^T) = Sigma(X) for |c_j| up to 1e3 standard deviations of
+    # column j; the initial-sequence scans truncate at the same s_n and t_n.
+    c = np.array(shifts[: x.shape[1]]) * x.std(axis=0)
+    estimate = ESTIMATORS[label]
+    base, shifted = estimate(SampleMatrix(x)), estimate(SampleMatrix(x + c))
+    if label.startswith("initseq"):
+        assert (shifted.s_n, shifted.t_n) == (base.s_n, base.t_n)
+    assert_close_to(shifted.matrix, base.matrix, 1e-10)
 
 
 @pytest.mark.parametrize("label", ESTIMATORS)
