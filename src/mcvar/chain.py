@@ -92,7 +92,14 @@ class SampleMatrix:
 
     @cached_property
     def _centered(self) -> np.ndarray:
-        yc = self.values - self.values.mean(axis=0)
+        """The columns minus their means, and exactly zero on a constant column:
+        the mean of n equal floats need not equal them, and its residue would
+        pass for signal.  Only columns equal at the first, middle and last rows
+        are checked in full."""
+        v = self.values
+        yc = v - v.mean(axis=0)
+        maybe = np.flatnonzero((v[0] == v[-1]) & (v[0] == v[self.n // 2]))
+        yc[:, maybe[(v[:, maybe] == v[0, maybe]).all(axis=0)]] = 0.0
         yc.setflags(write=False)
         return yc
 

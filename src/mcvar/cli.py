@@ -13,7 +13,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -243,21 +243,12 @@ def run_chain_command(args) -> int:
                                window=args.window)
     targets = parse_targets(args.targets) if args.command == "simci" else None
     chain = load_chain(sniff_chain_file(args.file, args.columns))
+    meta = {k: v for k, v in asdict(estimator).items() if v is not None and k not in ("b", "batch_rule")}
     # an overflow shows as a non-finite estimate, which LrvEstimate refuses (exit 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        report, code = args.report(args, chain, estimator, _method_block(args), targets)
+        report, code = args.report(args, chain, estimator, meta, targets)
     emit(report, args.out)
     return code
-
-
-def _method_block(args) -> dict:
-    """The reports' method object: the flags that chose the estimator."""
-    meta = {"family": args.method, "lugsail": args.lugsail}
-    if args.method == "sv":
-        meta["window"] = args.window or "bartlett"
-    if args.lugsail == "custom":
-        meta["r"], meta["c"] = args.r, args.c
-    return meta
 
 
 def _estimate_report(args, chain, estimator, meta, targets):

@@ -21,8 +21,6 @@ from .initseq import adjusted_initial_sequence, initial_sequence
 from .lrv import LrvEstimate, LugsailConfig
 from .spectral import get_window, lugsail_spectral_variance
 
-Estimator = Callable[[SampleMatrix], LrvEstimate]
-
 
 @dataclass(frozen=True)
 class Ar1Config:
@@ -189,17 +187,40 @@ def logistic_mh_generate(n_obs: int, p_coef: int, n: int,
 METHODS = ("bm", "obm", "sv", "initseq", "initseq-adj")
 
 
+@dataclass(frozen=True)
+class Estimator:
+    """An estimator as make_estimator checked it; called on a chain, it returns
+    the estimate.  Its fields up to c, the unset ones left out, describe it."""
+
+    family: str
+    lugsail: str
+    window: str | None
+    r: float | None
+    c: float | None
+    b: int | None
+    batch_rule: str
+
+    def __call__(self, chain: SampleMatrix) -> LrvEstimate:
+        if self.family.startswith("initseq"):
+            return (initial_sequence if self.family == "initseq" else adjusted_initial_sequence)(chain)
+        config = LugsailConfig.named(self.lugsail) if self.r is None else LugsailConfig(self.r, self.c)
+        b = self.b if self.b is not None else default_batch_size(chain.n, self.batch_rule, r=config.r)
+        if self.family == "sv":
+            return lugsail_spectral_variance(chain, get_window(self.window), b, config.r, config.c)
+        return (lugsail_batch_means if self.family == "bm" else lugsail_overlapping_batch_means)(chain, b, config)
+
+
 def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
                    r: float | None = None, c: float | None = None,
                    window: str | None = None, batch_rule: str = "sqrt") -> Estimator:
-    """Build a named estimator callable for studies and the command line,
-    which checks none of these settings itself.
+    """Build a named estimator for studies and the command line, checking
+    every setting, which neither does itself.
 
-    method is one of METHODS; window (default bartlett) is for sv only;
-    lugsail is a regime name in REGIMES or custom, the one regime that takes
-    r and c and needs both.  b=None picks the batch size (or truncation
-    point) from batch_rule at call time.  The initial-sequence methods take
-    neither a lugsail adjustment nor b: their scan picks its own truncation.
+    method is one of METHODS; window (default bartlett, kept by its canonical
+    name) is for sv only; lugsail is a regime name in REGIMES or custom, the
+    only regime with r and c, which needs both.  b >= 1, or None for the batch
+    rule's size at call time, when floor(b/r) >= 1 is checked too.  The
+    initial-sequence methods take neither a lugsail adjustment nor b.
     """
     if method not in METHODS:
         raise ValueError(f"unknown estimator method {method!r}")
@@ -212,25 +233,18 @@ def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
             raise ValueError(f"{method} takes no lugsail adjustment")
         if b is not None:
             raise ValueError(f"{method} takes no batch size b")
-        return initial_sequence if method == "initseq" else adjusted_initial_sequence
-
     if lugsail == "custom":
         if r is None or c is None:
             raise ValueError("custom lugsail needs both r and c")
-        config = LugsailConfig(float(r), float(c))
+        LugsailConfig(r, c)  # refuses a bad r or c
     else:
-        config = LugsailConfig.named(lugsail)
-    win = get_window(window or "bartlett") if method == "sv" else None
-
-    def estimate(chain: SampleMatrix) -> LrvEstimate:
-        bb = b if b is not None else default_batch_size(chain.n, batch_rule, r=config.r)
-        if method == "bm":
-            return lugsail_batch_means(chain, bb, config)
-        if method == "obm":
-            return lugsail_overlapping_batch_means(chain, bb, config)
-        return lugsail_spectral_variance(chain, win, bb, config.r, config.c)
-
-    return estimate
+        LugsailConfig.named(lugsail)  # refuses an unknown regime
+    window = get_window(window or "bartlett").name if method == "sv" else None
+    if b is not None and b < 1:
+        raise ValueError(f"batch size must be >= 1, got {b}")
+    if batch_rule not in ("sqrt", "cuberoot"):
+        raise ValueError(f"unknown batch size rule {batch_rule!r}")
+    return Estimator(method, lugsail, window, r, c, b, batch_rule)
 
 
 def standard_grid(methods: Sequence[str] = ("bm",)) -> dict[str, Estimator]:
@@ -251,7 +265,7 @@ def _replicate_seed(master: int, index: tuple[int, ...]) -> np.random.SeedSequen
 
 
 def _study(generator: Callable[[int, np.random.SeedSequence], SampleMatrix],
-           estimators: dict[str, Estimator], n_grid: Sequence[int], replications: int, seed: int,
+           estimators: dict[str, Callable], n_grid: Sequence[int], replications: int, seed: int,
            scorer: Callable[[SampleMatrix], Callable[[LrvEstimate], float]],
            summary: Callable[[np.ndarray], dict]) -> list[dict]:
     """One row per (n, estimator): summary of that estimator's replicate scores.
@@ -276,7 +290,7 @@ def _study(generator: Callable[[int, np.random.SeedSequence], SampleMatrix],
 
 
 def coverage_study(generator: Callable[[int, np.random.SeedSequence], SampleMatrix],
-                   true_mean, estimators: dict[str, Estimator], n_grid: Sequence[int],
+                   true_mean, estimators: dict[str, Callable], n_grid: Sequence[int],
                    replications: int, seed: int, alpha: float = 0.05) -> list[dict]:
     """Observed coverage of the 100(1-alpha)% region for the true mean."""
     if not 0.0 < alpha < 1.0:
@@ -295,7 +309,7 @@ def coverage_study(generator: Callable[[int, np.random.SeedSequence], SampleMatr
 
 
 def ess_study(generator: Callable[[int, np.random.SeedSequence], SampleMatrix],
-              truth: BiasTruth, estimators: dict[str, Estimator], n_grid: Sequence[int],
+              truth: BiasTruth, estimators: dict[str, Callable], n_grid: Sequence[int],
               replications: int, seed: int) -> list[dict]:
     """Replication mean and spread of estimated ESS/n per (estimator, n)."""
     def summary(ratios: np.ndarray) -> dict:
@@ -316,7 +330,7 @@ def ar1_chain_factory(phi: float) -> Callable[[int, np.random.SeedSequence], Sam
     return factory
 
 
-def timing_bench(chain: SampleMatrix, estimators: dict[str, Estimator],
+def timing_bench(chain: SampleMatrix, estimators: dict[str, Callable],
                  repetitions: int = 5) -> list[dict]:
     """Median wall time per estimator.
 
@@ -353,6 +367,7 @@ def ordering_ok(rows: list[dict], sequence: Sequence[str], slack: float = 1.0) -
 __all__ = [
     "Ar1Config",
     "BiasTruth",
+    "Estimator",
     "MixtureConfig",
     "ar1_chain_factory",
     "ar1_generate",

@@ -53,6 +53,15 @@ def _scan(chain: SampleMatrix, adjusted: bool) -> InitSeqResult:
     # lag is symmetrized, as the population matrices of a reversible chain
     # are, which keeps the sample asymmetry out of the eigenvalue logic.
     lags = _lag_cov_block(chain, min(chain.n, _FIRST_BLOCK) - 1)
+    # No partial sum can pass when lag 0 is not finite or has a zero variance.
+    # Only these exact causes stop the scan early: a near-collinear lag 0 can
+    # fail the pivot test while a later partial sum passes it.
+    if not np.isfinite(lags[0]).all():
+        raise NotPositiveDefinite("the lag covariances overflow, so no partial sum is finite")
+    constant = np.flatnonzero(np.diag(lags[0]) == 0.0)
+    if constant.size:
+        raise NotPositiveDefinite(
+            f"columns {constant.tolist()} are constant, so no positive definite partial sum exists")
     running = -symmetrize(lags[0])
     s_n = None
     for m in range(limit + 1):

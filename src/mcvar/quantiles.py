@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import SampleMatrix
+from .experiments import make_estimator
 from .lrv import matrix_of, pd_logdet
 
 _NDTRI_CLIP = 1e-15
@@ -153,17 +154,14 @@ def _estimates_and_transform(chain: SampleMatrix, targets: list[TargetSpec]) -> 
     return nu, SampleMatrix(out)
 
 
-def estimate_omega(chain: SampleMatrix, targets: list[TargetSpec], estimator=None) -> JointEstimate:
+def estimate_omega(chain: SampleMatrix, targets: list[TargetSpec],
+                   estimator=make_estimator("bm", lugsail="zero")) -> JointEstimate:
     """Point estimates and joint LRV for a list of mean/quantile targets.
 
     estimator maps a SampleMatrix to an LrvEstimate; the default is
     zero-lugsail batch means at the square-root batch size.
     """
     nu, transformed = _estimates_and_transform(chain, targets)
-    if estimator is None:
-        from .experiments import make_estimator
-
-        estimator = make_estimator("bm", lugsail="zero")
     return JointEstimate(nu_hat=nu, omega=estimator(transformed).matrix, n=chain.n)
 
 

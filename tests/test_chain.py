@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mcvar import SampleMatrix, lag_covariance, lag_covariances_fft, mean_vector, sample_covariance
+from mcvar import SampleMatrix, lag1_autocorrelation, lag_covariance, lag_covariances_fft, mean_vector, sample_covariance
 from mcvar.chain import _lag_cov_block
 
 from conftest import naive_lag_cov
@@ -44,6 +44,18 @@ class TestSampleMatrix:
         with pytest.raises(ValueError):
             s._spectrum[0][0, 0] = 7.0
         assert np.array_equal(s._centered, [[-0.5], [0.5]])
+
+    @pytest.mark.parametrize("const", [0.1, 1 / 3, -7.3e5, 2.0])
+    def test_centering_is_exactly_zero_on_a_constant_column_only(self, const):
+        # column 2 equals the constant at the first, middle and last rows only
+        x = np.random.default_rng(3).standard_normal((1001, 3))
+        x[[0, 500, 1000], 2] = const
+        before = SampleMatrix(x)._centered
+        x[:, 1] = const
+        s = SampleMatrix(x)
+        assert not s._centered[:, 1].any()
+        assert np.array_equal(s._centered[:, [0, 2]], before[:, [0, 2]])
+        assert lag1_autocorrelation(s) == pytest.approx(lag1_autocorrelation(SampleMatrix(x[:, [0, 2]])), rel=1e-12)
 
 
 class TestMeanVector:

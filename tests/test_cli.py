@@ -249,8 +249,8 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("method, message", [
         ("bm", "batch size must be >= 1"),
-        ("obm", "overlapping batch size must satisfy"),
-        ("sv", "truncation point must satisfy"),
+        ("obm", "batch size must be >= 1"),
+        ("sv", "batch size must be >= 1"),
     ])
     def test_base_batch_check_runs_before_the_lugsail_one(self, capsys, ar1_file, method, message):
         code, _, err = run(capsys, "estimate", ar1_file, "--method", method, "--lugsail", "over", "--b", "0")

@@ -40,6 +40,8 @@ BAD_INPUTS = ("{non-utf8.csv}", "{header-only.csv}", "{pickled.npy}", "{3d.npy}"
 TEXT_INPUTS = ("{bom.csv}", "{blank-first.csv}", "{blank-header.csv}", "{blank-only.csv}", "{blank-rows.csv}")
 SHORT = "{short.csv}"  # 3 rows: too short for every estimator's defaults (exit 3)
 HUGE = "{huge.csv}"  # the chain's signs times 1e200: every estimate overflows (exit 4)
+CONST = "{const.csv}"  # the chain with column 1 set to 0.1: no ESS (exit 4)
+MISSING = "{missing.csv}"  # never written
 REGIMES = ("none", "zero", "adaptive", "over")
 FAMILIES = ("bm", "obm", "sv")
 TIMINGS = ("wall_time_s", "median_seconds")
@@ -99,6 +101,12 @@ COMMANDS = [
     ["estimate", CHAIN, "--method", "bm", "--window", "bartlett"],
     ["estimate", CHAIN, "--lugsail", "zero", "--r", "2"],
     *[["estimate", HUGE, "--method", m] for m in (*FAMILIES, "initseq")],
+    # a constant column has no ESS whatever its value (exit 4); a bad flag is
+    # reported before the chain file is read (exit 3); sv's window by its
+    # canonical name
+    *[["ess", CONST, "--method", m] for m in ("bm", "sv", "initseq")],
+    ["estimate", MISSING, "--b", "0"],
+    ["estimate", CHAIN, "--method", "sv", "--window", "TUKEY_HANNING"],
 ]
 
 
@@ -106,7 +114,8 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     """Write every input file into directory; returns placeholder -> path."""
     eps = np.random.default_rng(2024).standard_normal((2000, 3))
     values, _ = lfilter([1.0], [1.0, -0.9], eps, axis=0, zi=np.zeros((1, 3)))
-    paths = {key: str(directory / key.strip("{}")) for key in (CHAIN, NPY, SHORT, HUGE, *BAD_INPUTS, *TEXT_INPUTS)}
+    paths = {key: str(directory / key.strip("{}"))
+             for key in (CHAIN, NPY, SHORT, HUGE, CONST, MISSING, *BAD_INPUTS, *TEXT_INPUTS)}
     paths[CHAIN] += ".csv"
     np.savetxt(paths[CHAIN], values, delimiter=",")
     np.save(paths[NPY], values)
@@ -128,6 +137,9 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     pathlib.Path(paths["{blank-rows.csv}"]).write_bytes(b"".join([rows[0], b" \t\n", *rows[1:], b"  \n\n \n"]))
     np.savetxt(paths[SHORT], values[:3], delimiter=",")
     np.savetxt(paths[HUGE], np.sign(values) * 1e200, delimiter=",")
+    constant = values.copy()
+    constant[:, 1] = 0.1
+    np.savetxt(paths[CONST], constant, delimiter=",")
     return paths
 
 

@@ -2,8 +2,10 @@
 
 Importing scipy.stats alone costs more than most commands compute, so the
 package defers every scipy import to the function that needs it.  Each check
-runs in a fresh interpreter, where sys.modules starts clean.
+runs in a fresh interpreter, where sys.modules starts clean.  The package's
+own modules import each other at module top: the layers form no cycle.
 """
+import ast
 import json
 import os
 import pathlib
@@ -29,6 +31,15 @@ def loaded_after(code: str) -> set[str]:
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_no_function_imports_a_sibling_module():
+    deferred = [f"{path.name}:{node.lineno}"
+                for path in sorted(pathlib.Path(mcvar.__file__).parent.glob("*.py"))
+                for fn in ast.walk(ast.parse(path.read_text()))
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level >= 1]
+    assert not deferred
 
 
 def test_import_loads_no_scipy():

@@ -205,3 +205,28 @@ class TestLagBlockRegrowth:
             assert res.logdet_path.shape == want_path.shape
             assert np.allclose(res.logdet_path, want_path, rtol=1e-12, atol=0)
             assert np.abs(res.sigma - want_sigma).max() <= 1e-12 * np.abs(want_sigma).max()
+
+
+@pytest.mark.parametrize("scan", [initial_sequence, adjusted_initial_sequence])
+@pytest.mark.parametrize("case, message", [
+    ("constant", r"columns \[1\] are constant, so no positive definite partial sum exists"),
+    ("overflow", "the lag covariances overflow, so no partial sum is finite"),
+])
+def test_a_hopeless_scan_stops_after_one_lag_block(rng, monkeypatch, scan, case, message):
+    # a constant column or overflowing lags leave no partial sum to find, so
+    # the scan raises after its first lag block instead of walking n/2 pairs
+    passes = []
+
+    def counting_block(chain, kmax):
+        passes.append(kmax)
+        return _lag_cov_block(chain, kmax)
+
+    monkeypatch.setattr(initseq_module, "_lag_cov_block", counting_block)
+    values = ar1_paths(rng, 3, 5000, 0.9).T
+    if case == "constant":
+        values[:, 1] = 0.1
+    else:
+        values = np.sign(values) * 1e200
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefinite, match=message):
+        scan(SampleMatrix(values))
+    assert len(passes) == 1

@@ -169,7 +169,7 @@ CALLABLES = {
     "diagnostics.StoppingConfig", "diagnostics.StoppingDecision", "diagnostics.chi2_quantile",
     "diagnostics.ess", "diagnostics.fixed_volume_check", "diagnostics.mcse", "diagnostics.min_ess",
     "diagnostics.region_contains", "diagnostics.region_volume",
-    "experiments.Ar1Config", "experiments.BiasTruth", "experiments.MixtureConfig",
+    "experiments.Ar1Config", "experiments.BiasTruth", "experiments.Estimator", "experiments.MixtureConfig",
     "experiments.ar1_chain_factory", "experiments.ar1_generate", "experiments.ar1_truth",
     "experiments.coverage_study", "experiments.ess_study", "experiments.logistic_mh_generate",
     "experiments.make_estimator", "experiments.median_times", "experiments.mh_acceptance_rate",

@@ -4,6 +4,7 @@ The factory used by studies and the command line must reproduce the direct
 library call, bit for bit, for each method and each named regime.  The
 regime table is spelled out here independently of the package.
 """
+import dataclasses
 import json
 
 import numpy as np
@@ -15,9 +16,11 @@ from mcvar import (
     BARTLETT,
     LrvEstimate,
     LugsailConfig,
+    NotPositiveDefinite,
     SampleMatrix,
     adjusted_initial_sequence,
     default_batch_size,
+    ess,
     initial_sequence,
     lugsail_batch_means,
     lugsail_overlapping_batch_means,
@@ -25,7 +28,7 @@ from mcvar import (
     lugsail_spectral_variance,
 )
 from mcvar.cli import EXIT_OK, EXIT_USAGE, main
-from mcvar.experiments import METHODS as FACTORY_METHODS, Ar1Config, ar1_generate, make_estimator
+from mcvar.experiments import METHODS as FACTORY_METHODS, Ar1Config, Estimator, ar1_generate, make_estimator
 from mcvar.lrv import REGIMES
 from mcvar.spectral import WINDOWS
 
@@ -42,10 +45,10 @@ def chain():
     ]))
 
 
-def direct(method, name, chain):
+def direct(method, name, chain, b=None):
     r, c = REGIME_RC[name]
     config = LugsailConfig(r=r, c=c, regime=name)
-    b = default_batch_size(chain.n, "sqrt", r=r)
+    b = default_batch_size(chain.n, "sqrt", r=r) if b is None else b
     if method == "bm":
         return lugsail_batch_means(chain, b, config)
     if method == "obm":
@@ -102,12 +105,36 @@ def test_constructor_names_other_parameters_custom(r, c):
     ({"method": "bm", "lugsail": "custom", "r": 0.5, "c": 0.5}, "lugsail ratio r must be finite and >= 1"),
     ({"method": "obm", "lugsail": "custom", "r": 2.0, "c": 1.0}, "lugsail weight c must lie in"),
     ({"method": "sv", "lugsail": "bogus", "window": "nope"}, "unknown lugsail regime"),
-    ({"method": "sv", "window": "nope"}, "unknown lag window"),
+    ({"method": "sv", "window": "nope", "b": 0}, "unknown lag window"),
+    ({"method": "bm", "b": 0, "batch_rule": "bogus"}, "batch size must be >= 1, got 0"),
+    ({"method": "bm", "b": -3}, "batch size must be >= 1, got -3"),
+    ({"method": "bm", "batch_rule": "bogus"}, "unknown batch size rule 'bogus'"),
 ])
 def test_make_estimator_refusals(kwargs, message):
     # one refusal per setting, in the order the command line reports them
     with pytest.raises(ValueError, match=message):
         make_estimator(**kwargs)
+
+
+@pytest.mark.parametrize("method, message", [
+    ("bm", "batch size must be >= 1"),
+    ("obm", "overlapping batch size must satisfy"),
+    ("sv", "truncation point must satisfy"),
+])
+def test_family_batch_check_runs_before_the_lugsail_one(chain, method, message):
+    # make_estimator refuses b = 0 first; each family still checks b itself
+    with pytest.raises(ValueError, match=message):
+        direct(method, "over", chain, b=0)
+
+
+def test_make_estimator_returns_a_frozen_value_under_canonical_names():
+    estimator = make_estimator("sv", window="Tukey_Hanning")
+    assert isinstance(estimator, Estimator)
+    assert estimator == make_estimator("sv", window="tukey-hanning")
+    assert estimator.window == "tukey-hanning"
+    assert make_estimator("sv") == make_estimator("sv", window="bartlett")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        estimator.b = 10
 
 
 @pytest.mark.parametrize("rho, name", [(0.0, "zero"), (0.8, "adaptive"), (0.99, "over")])
@@ -190,6 +217,17 @@ def test_shift_leaves_the_estimate_unchanged(label, x, shifts):
     if label.startswith("initseq"):
         assert (shifted.s_n, shifted.t_n) == (base.s_n, base.t_n)
     assert_close_to(shifted.matrix, base.matrix, 1e-10)
+
+
+@pytest.mark.parametrize("label", ESTIMATORS)
+@given(ar1_chains(), st.sampled_from([0.1, 1 / 3, -7.3e5]) | st.floats(-1e6, 1e6), st.integers(0, 2))
+def test_a_constant_column_has_no_ess_whatever_its_value(label, x, const, j):
+    # the mean of n copies of a float need not be that float, and its residue
+    # must not pass for a component with variance of its own
+    x[:, min(j, x.shape[1] - 1)] = const
+    chain = SampleMatrix(x)
+    with pytest.raises(NotPositiveDefinite):
+        ess(chain, ESTIMATORS[label](chain))
 
 
 @pytest.mark.parametrize("label", ESTIMATORS)
