@@ -61,24 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
 NPY_MAGIC = b"\x93NUMPY"
 
-#: The flags each experiment reads; cmd_experiment refuses any other.
-EXPERIMENT_FLAGS = {
-    "ar1-coverage": ("--phi", "--n", "--n-grid", "--reps", "--seed", "--alpha", "--methods", "--out"),
-    "ar1-ess": ("--phi", "--n", "--n-grid", "--reps", "--seed", "--methods", "--out"),
-    "mixture": ("--n", "--seed", "--proposal-sd", "--out"),
-    "logistic": ("--n", "--seed", "--n-obs", "--p-coef", "--out"),
-    "bench": ("--n", "--seed", "--p-coef", "--reps", "--out"),
-}
-
-
-class _Given(argparse.Action):
-    """Store a flag's value and add the flag to namespace.given."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = namespace.given | {self.option_strings[-1]}
-
-
 @dataclass(frozen=True)
 class ChainFile:
     path: str
@@ -316,9 +298,6 @@ def cmd_miness(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    unread = sorted(args.given - set(EXPERIMENT_FLAGS[args.name]))
-    if unread:
-        raise ValueError(f"experiment {args.name} does not read {', '.join(unread)}")
     if args.name in ("mixture", "logistic"):
         if args.name == "mixture":
             chain = mixture_mh_generate(MixtureConfig(n=args.n, seed=args.seed, proposal_sd=args.proposal_sd))
@@ -389,21 +368,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--seed", type=int, default=0)
 
+    # each experiment declares the flags it reads; shared ones come from parents
     p_exp = sub.add_parser("experiment", help="run a replication study or benchmark")
-    p_exp.set_defaults(run=cmd_experiment, given=frozenset())
-    p_exp.add_argument("name", choices=list(EXPERIMENT_FLAGS))
-    p_exp.register("action", None, _Given)  # each flag added below records that it was given
-    p_exp.add_argument("--phi", type=float, default=0.92)
-    p_exp.add_argument("--n", type=int, default=50000)
-    p_exp.add_argument("--n-grid", default=None, help="comma-separated chain lengths")
-    p_exp.add_argument("--reps", type=int, default=500)
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--alpha", type=float, default=0.05)
-    p_exp.add_argument("--methods", default="bm", help="comma-separated estimator families")
-    p_exp.add_argument("--proposal-sd", type=float, default=0.5)
-    p_exp.add_argument("--n-obs", type=int, default=200)
-    p_exp.add_argument("--p-coef", type=int, default=19)
-    p_exp.add_argument("--out", choices=["json", "csv"], default="csv")
+    p_exp.set_defaults(run=cmd_experiment)
+    names = p_exp.add_subparsers(dest="name", required=True)
+    every = argparse.ArgumentParser(add_help=False)
+    every.add_argument("--seed", type=int, default=0)
+    every.add_argument("--out", choices=["json", "csv"], default="csv")
+    reps = argparse.ArgumentParser(add_help=False)
+    reps.add_argument("--reps", type=int, default=500)
+    p_coef = argparse.ArgumentParser(add_help=False)
+    p_coef.add_argument("--p-coef", type=int, default=19)
+    n = {"type": int, "default": 50000}
+    one_chain = argparse.ArgumentParser(add_help=False, parents=[every])
+    one_chain.add_argument("--n", **n)
+    study = argparse.ArgumentParser(add_help=False, parents=[every, reps])
+    study.add_argument("--phi", type=float, default=0.92)
+    lengths = study.add_mutually_exclusive_group()
+    lengths.add_argument("--n", **n)
+    lengths.add_argument("--n-grid", default=None, help="comma-separated chain lengths")
+    study.add_argument("--methods", default="bm", help="comma-separated estimator families")
+    coverage = names.add_parser("ar1-coverage", parents=[study], help="coverage of the AR(1) mean's region")
+    coverage.add_argument("--alpha", type=float, default=0.05)
+    names.add_parser("ar1-ess", parents=[study], help="estimated ESS/n on AR(1) chains")
+    mixture = names.add_parser("mixture", parents=[one_chain], help="a Metropolis chain on a normal mixture")
+    mixture.add_argument("--proposal-sd", type=float, default=0.5)
+    logistic = names.add_parser("logistic", parents=[one_chain, p_coef], help="a Metropolis chain on a logistic model")
+    logistic.add_argument("--n-obs", type=int, default=200)
+    names.add_parser("bench", parents=[one_chain, p_coef, reps], help="median wall time per estimator")
     return parser
 
 

@@ -189,8 +189,16 @@ METHODS = ("bm", "obm", "sv", "initseq", "initseq-adj")
 
 @dataclass(frozen=True)
 class Estimator:
-    """An estimator as make_estimator checked it; called on a chain, it returns
-    the estimate.  Its fields up to c, the unset ones left out, describe it."""
+    """Estimator settings, each checked when the value is built (by
+    dataclasses.replace too); called on a chain, it returns the estimate.
+    Its fields up to c, the unset ones left out, describe it.
+
+    family is one of METHODS; window (default bartlett, kept by its canonical
+    name) is for sv only; lugsail is a regime name in REGIMES or custom, the
+    only regime with r and c, which needs both.  b >= 1, or None for the
+    batch_rule's size at call time, when floor(b/r) >= 1 is checked too.  The
+    initial-sequence families take neither a lugsail adjustment nor b.
+    """
 
     family: str
     lugsail: str
@@ -199,6 +207,32 @@ class Estimator:
     c: float | None
     b: int | None
     batch_rule: str
+
+    def __post_init__(self):
+        method, lugsail, r, c, b = self.family, self.lugsail, self.r, self.c, self.b
+        if method not in METHODS:
+            raise ValueError(f"unknown estimator method {method!r}")
+        if self.window is not None and method != "sv":
+            raise ValueError("--window is only valid with --method sv")
+        if (r is not None or c is not None) and lugsail != "custom":
+            raise ValueError("--r/--c are only valid with --lugsail custom")
+        if method.startswith("initseq"):
+            if lugsail != "none":
+                raise ValueError(f"{method} takes no lugsail adjustment")
+            if b is not None:
+                raise ValueError(f"{method} takes no batch size b")
+        if lugsail == "custom":
+            if r is None or c is None:
+                raise ValueError("custom lugsail needs both r and c")
+            LugsailConfig(r, c)  # refuses a bad r or c
+        else:
+            LugsailConfig.named(lugsail)  # refuses an unknown regime
+        if method == "sv":
+            object.__setattr__(self, "window", get_window(self.window or "bartlett").name)
+        if b is not None and b < 1:
+            raise ValueError(f"batch size must be >= 1, got {b}")
+        if self.batch_rule not in ("sqrt", "cuberoot"):
+            raise ValueError(f"unknown batch size rule {self.batch_rule!r}")
 
     def __call__(self, chain: SampleMatrix) -> LrvEstimate:
         if self.family.startswith("initseq"):
@@ -213,37 +247,8 @@ class Estimator:
 def make_estimator(method: str, *, b: int | None = None, lugsail: str = "none",
                    r: float | None = None, c: float | None = None,
                    window: str | None = None, batch_rule: str = "sqrt") -> Estimator:
-    """Build a named estimator for studies and the command line, checking
-    every setting, which neither does itself.
-
-    method is one of METHODS; window (default bartlett, kept by its canonical
-    name) is for sv only; lugsail is a regime name in REGIMES or custom, the
-    only regime with r and c, which needs both.  b >= 1, or None for the batch
-    rule's size at call time, when floor(b/r) >= 1 is checked too.  The
-    initial-sequence methods take neither a lugsail adjustment nor b.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown estimator method {method!r}")
-    if window is not None and method != "sv":
-        raise ValueError("--window is only valid with --method sv")
-    if (r is not None or c is not None) and lugsail != "custom":
-        raise ValueError("--r/--c are only valid with --lugsail custom")
-    if method.startswith("initseq"):
-        if lugsail != "none":
-            raise ValueError(f"{method} takes no lugsail adjustment")
-        if b is not None:
-            raise ValueError(f"{method} takes no batch size b")
-    if lugsail == "custom":
-        if r is None or c is None:
-            raise ValueError("custom lugsail needs both r and c")
-        LugsailConfig(r, c)  # refuses a bad r or c
-    else:
-        LugsailConfig.named(lugsail)  # refuses an unknown regime
-    window = get_window(window or "bartlett").name if method == "sv" else None
-    if b is not None and b < 1:
-        raise ValueError(f"batch size must be >= 1, got {b}")
-    if batch_rule not in ("sqrt", "cuberoot"):
-        raise ValueError(f"unknown batch size rule {batch_rule!r}")
+    """The Estimator of these settings, named by keyword, for studies and the
+    command line; it refuses what Estimator refuses, in the same order."""
     return Estimator(method, lugsail, window, r, c, b, batch_rule)
 
 

@@ -57,6 +57,14 @@ class JointEstimate:
     omega: np.ndarray
     n: int
 
+    def __post_init__(self):
+        if np.ndim(self.nu_hat) != 1:
+            raise ValueError(f"nu_hat must be 1-D, got shape {np.shape(self.nu_hat)}")
+        if np.shape(self.omega) != (self.p, self.p):
+            raise ValueError(f"omega must be {self.p} x {self.p}, one row per target, got shape {np.shape(self.omega)}")
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got {self.n}")
+
     @property
     def p(self) -> int:
         return self.nu_hat.shape[0]

@@ -36,6 +36,12 @@ class LagWindow:
     k_q: float
     fn: Callable[[np.ndarray], np.ndarray]
 
+    def __post_init__(self):
+        if not self.support >= 0.0:
+            raise ValueError(f"lag window support must be >= 0 (inf for unbounded), got {self.support}")
+        if not abs(self(0.0) - 1.0) <= 1e-12:
+            raise ValueError(f"lag window {self.name!r} needs kappa(0) = 1, got {self(0.0)}")
+
     def __call__(self, x):
         """Evaluate the kernel at x: a float for scalar x, else an array."""
         out = self.fn(np.abs(np.asarray(x, float)))

@@ -14,6 +14,7 @@ from mcvar.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     load_chain,
     main,
     parse_targets,
@@ -409,6 +410,54 @@ class TestExperimentCommand:
     def test_zero_replications_is_a_usage_error(self, capsys, name):
         err = single_usage_error(capsys, "experiment", name, "--n", "500", "--reps", "0")
         assert "at least 1 rep" in err
+
+    # the flags each experiment reads, with their defaults and a value to give
+    FLAGS = {"--phi": (0.92, "0.5"), "--n": (50000, "600"), "--n-grid": (None, "500,600"), "--reps": (500, "2"),
+             "--seed": (0, "3"), "--alpha": (0.05, "0.1"), "--methods": ("bm", "sv"),
+             "--proposal-sd": (0.5, "0.25"), "--n-obs": (200, "7"), "--p-coef": (19, "2"), "--out": ("csv", "json")}
+    READS = {
+        "ar1-coverage": ("--phi", "--n", "--n-grid", "--reps", "--seed", "--alpha", "--methods", "--out"),
+        "ar1-ess": ("--phi", "--n", "--n-grid", "--reps", "--seed", "--methods", "--out"),
+        "mixture": ("--n", "--seed", "--proposal-sd", "--out"),
+        "logistic": ("--n", "--seed", "--n-obs", "--p-coef", "--out"),
+        "bench": ("--n", "--seed", "--p-coef", "--reps", "--out"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_each_flag_read_parses_to_its_value_and_default(self, name):
+        parser = build_parser()
+        defaults = vars(parser.parse_args(["experiment", name]))
+        for flag in self.READS[name]:
+            dest = flag[2:].replace("-", "_")
+            default, text = self.FLAGS[flag]
+            assert defaults[dest] == default
+            given = vars(parser.parse_args(["experiment", name, flag, text]))
+            assert str(given[dest]) == text
+            assert {k: v for k, v in given.items() if k != dest} == {k: v for k, v in defaults.items() if k != dest}
+
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_flags_not_read_exit_3_and_are_named(self, capsys, name):
+        unread = [flag for flag in self.FLAGS if flag not in self.READS[name]]
+        for flag in unread:
+            code, out, err = run(capsys, "experiment", name, flag, self.FLAGS[flag][1])
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.splitlines()[-1] == f"mcvar: error: unrecognized arguments: {flag} {self.FLAGS[flag][1]}"
+        code, _, err = run(capsys, "experiment", name, *unread[:3])
+        assert code == EXIT_USAGE and all(flag in err for flag in unread[:3])
+
+    @pytest.mark.parametrize("name", ["ar1-coverage", "ar1-ess"])
+    def test_n_and_n_grid_exclude_each_other(self, capsys, name):
+        code, out, err = run(capsys, "experiment", name, "--n", "1000", "--n-grid", "500,2000")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines()[-1].endswith("error: argument --n-grid: not allowed with argument --n")
+
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_help_lists_only_the_flags_read(self, capsys, name):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(["experiment", name, "-h"])
+        listed = {word.strip("[],") for word in capsys.readouterr().out.split() if word.startswith(("--", "[--"))}
+        assert exit_.value.code == 0
+        assert listed == {*self.READS[name], "--help"}
 
     def test_mixture_summary(self, capsys):
         code, out, _ = run(capsys, "experiment", "mixture", "--n", "4000", "--seed", "2", "--out", "json")

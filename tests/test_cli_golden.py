@@ -20,10 +20,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 from scipy.signal import lfilter
@@ -87,6 +89,7 @@ COMMANDS = [
     # flags the experiment never reads (exit 3)
     ["experiment", "bench", "--phi", "0.5", "--methods", "sv", "--alpha", "0.2"],
     ["experiment", "mixture", "--reps", "3", "--n-obs", "4"],
+    ["experiment", "ar1-coverage", "--n", "1000", "--n-grid", "500,2000"],  # one chain length or a grid
     ["simci", CHAIN, "--targets", "mean:0,quant:0:0.5,mean:5"],
     # .npy input, and input errors (exit 2)
     *[["estimate", NPY, "--method", m] for m in (*FAMILIES, "initseq")],
@@ -148,7 +151,9 @@ def run(argv: list[str], paths: dict[str, str]) -> dict:
     console script would report it, exit 1 with a traceback."""
     argv = [paths.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+    # argparse wraps its usage lines to COLUMNS, else to the terminal's width
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(),
+          mock.patch.dict(os.environ, {"COLUMNS": "80"})):
         warnings.simplefilter("ignore")
         try:
             code = main(argv)

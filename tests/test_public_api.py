@@ -107,10 +107,15 @@ SETTINGS = {
     "mcvar simci --lugsail", "mcvar simci --method", "mcvar simci --r", "mcvar simci --seed",
     "mcvar simci --targets", "mcvar simci --window",
     "mcvar miness --alpha", "mcvar miness --eps", "mcvar miness --p",
-    "mcvar experiment --alpha", "mcvar experiment --methods", "mcvar experiment --n",
-    "mcvar experiment --n-grid", "mcvar experiment --n-obs", "mcvar experiment --out",
-    "mcvar experiment --p-coef", "mcvar experiment --phi", "mcvar experiment --proposal-sd",
-    "mcvar experiment --reps", "mcvar experiment --seed",
+    *[f"mcvar experiment {study} {flag}" for study in ("ar1-coverage", "ar1-ess")
+      for flag in ("--methods", "--n", "--n-grid", "--out", "--phi", "--reps", "--seed")],
+    "mcvar experiment ar1-coverage --alpha",
+    "mcvar experiment mixture --n", "mcvar experiment mixture --out", "mcvar experiment mixture --proposal-sd",
+    "mcvar experiment mixture --seed",
+    "mcvar experiment logistic --n", "mcvar experiment logistic --n-obs", "mcvar experiment logistic --out",
+    "mcvar experiment logistic --p-coef", "mcvar experiment logistic --seed",
+    "mcvar experiment bench --n", "mcvar experiment bench --out", "mcvar experiment bench --p-coef",
+    "mcvar experiment bench --reps", "mcvar experiment bench --seed",
 }
 
 
@@ -148,11 +153,18 @@ def test_settings_ledger():
             found |= {f"{label}({p})" for p in _defaulted(obj)}
         elif dataclasses.is_dataclass(obj):
             found |= {f"{label}.{f}" for f in _own_dataclass_settings(obj)}
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    found |= {f"mcvar {cmd} {action.option_strings[-1]}" for cmd, parser in sub.choices.items()
-              for action in parser._actions
-              if action.option_strings and not isinstance(action, argparse._HelpAction)}
+    found |= set(_cli_flags("mcvar", cli.build_parser()))
     assert found == SETTINGS
+
+
+def _cli_flags(command: str, parser):
+    """'command --flag' for each flag of a parser, and of its subcommands, however nested."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _cli_flags(f"{command} {name}", child)
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            yield f"{command} {action.option_strings[-1]}"
 
 
 # Every public function, class and method of a layer module, whether exported

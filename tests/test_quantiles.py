@@ -265,6 +265,18 @@ class TestMvnRectProb:
         assert mine == pytest.approx(oracle, abs=3e-3)
 
 
+@pytest.mark.parametrize("nu_hat, omega, n, message", [
+    (np.zeros((2, 1)), np.eye(2), 10, r"nu_hat must be 1-D, got shape \(2, 1\)"),
+    (np.float64(0.0), np.eye(1), 10, r"nu_hat must be 1-D, got shape \(\)"),
+    (np.zeros(3), np.eye(2), 10, r"omega must be 3 x 3, one row per target, got shape \(2, 2\)"),
+    (np.zeros(2), np.ones(2), 10, r"omega must be 2 x 2"),
+    (np.zeros(2), np.eye(2), 0, "need n >= 1, got 0"),
+])
+def test_joint_estimate_is_checked_when_built(nu_hat, omega, n, message):
+    with pytest.raises(ValueError, match=message):
+        JointEstimate(nu_hat=nu_hat, omega=omega, n=n)
+
+
 class TestSolveZStar:
     def test_univariate_normal_quantile(self):
         joint = JointEstimate(nu_hat=np.array([0.0]), omega=np.array([[2.0]]), n=400)

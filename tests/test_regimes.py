@@ -111,9 +111,17 @@ def test_constructor_names_other_parameters_custom(r, c):
     ({"method": "bm", "batch_rule": "bogus"}, "unknown batch size rule 'bogus'"),
 ])
 def test_make_estimator_refusals(kwargs, message):
-    # one refusal per setting, in the order the command line reports them
-    with pytest.raises(ValueError, match=message):
-        make_estimator(**kwargs)
+    # one refusal per setting, in the order the command line reports them;
+    # Estimator refuses the same, word for word, built by position or by replace
+    fields = {"family": kwargs["method"], "lugsail": "none", "window": None, "r": None, "c": None, "b": None,
+              "batch_rule": "sqrt", **{k: v for k, v in kwargs.items() if k != "method"}}
+    refusals = []
+    for build in (lambda: make_estimator(**kwargs), lambda: Estimator(*fields.values()),
+                  lambda: dataclasses.replace(make_estimator("bm"), **fields)):
+        with pytest.raises(ValueError, match=message) as info:
+            build()
+        refusals.append(str(info.value))
+    assert refusals[1:] == refusals[:1] * 2
 
 
 @pytest.mark.parametrize("method, message", [

@@ -197,6 +197,24 @@ class TestSpectralVariance:
         assert np.array_equal(spectral_variance(s, user, 12).matrix,
                               spectral_variance(s, QUADRATIC_SPECTRAL, 12).matrix)
 
+    @pytest.mark.parametrize("support, fn, message", [
+        (-1.0, BARTLETT.fn, "support must be >= 0"),
+        (math.nan, BARTLETT.fn, "support must be >= 0"),
+        (1.0, lambda ax: 2.0 * BARTLETT.fn(ax), r"needs kappa\(0\) = 1, got 2.0"),
+        (1.0, lambda ax: BARTLETT.fn(ax) + 1e-11, r"needs kappa\(0\) = 1"),
+        (1.0, lambda ax: np.full_like(ax, np.nan), r"needs kappa\(0\) = 1, got nan"),
+    ])
+    def test_user_window_is_checked_when_built(self, support, fn, message):
+        with pytest.raises(ValueError, match=message):
+            LagWindow("user", support=support, q=1, k_q=1.0, fn=fn)
+
+    def test_windows_are_exactly_one_at_zero(self):
+        LagWindow("user", support=0.0, q=1, k_q=1.0, fn=lambda ax: BARTLETT.fn(ax) + 1e-13)
+        for window in WINDOWS.values():
+            assert window(0.0) == 1.0
+            for r, c in ((2.0, 0.5), (3.0, 0.5), (3.0, 0.9), (1.5, 0.25)):
+                assert lugsail_window(window, r, c)(0.0) == 1.0
+
     def test_close_to_overlapping_batch_means(self, rng):
         # Bartlett window and overlapping batches agree up to end effects
         diffs = []
