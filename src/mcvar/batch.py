@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .chain import SampleMatrix, mean_vector
-from .lrv import LrvEstimate, LugsailConfig, symmetrize
+from .lrv import LrvEstimate, LugsailConfig
 
 
 def batch_means(chain: SampleMatrix, b: int) -> LrvEstimate:
@@ -30,8 +30,7 @@ def batch_means(chain: SampleMatrix, b: int) -> LrvEstimate:
     dev = means - mean_vector(chain)
     # multiply by b before dividing so that b=1 reduces bitwise to the
     # sample covariance
-    m = symmetrize(dev.T @ dev * b / (a - 1))
-    return LrvEstimate(m, family="bm", b=b)
+    return LrvEstimate(dev.T @ dev * b / (a - 1), family="bm", b=b)
 
 
 def overlapping_batch_means(chain: SampleMatrix, b: int) -> LrvEstimate:
@@ -43,8 +42,7 @@ def overlapping_batch_means(chain: SampleMatrix, b: int) -> LrvEstimate:
     csum = np.vstack([np.zeros((1, chain.p)), np.cumsum(yc, axis=0)])
     dev = (csum[b:] - csum[:-b]) / b  # sliding means of centered rows
     coef = n * b / ((n - b) * (n - b + 1))
-    m = symmetrize(dev.T @ dev * coef)
-    return LrvEstimate(m, family="obm", b=b)
+    return LrvEstimate(dev.T @ dev * coef, family="obm", b=b)
 
 
 def lugsail_combine(big: LrvEstimate, small: LrvEstimate, c: float) -> LrvEstimate:

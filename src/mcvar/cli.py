@@ -80,7 +80,7 @@ def sniff_chain_file(path: str, columns: str | None = None) -> ChainFile:
         try:
             cols = tuple(int(c) for c in columns.split(","))
         except ValueError as exc:
-            raise ChainFileError(f"bad column selection {columns!r}") from exc
+            raise ValueError(f"bad column selection {columns!r}") from exc
     try:
         with open(path, "rb") as fh:
             if fh.read(len(NPY_MAGIC)) == NPY_MAGIC:
@@ -169,20 +169,13 @@ def emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, default=_plain))
 
 
-def _flat_items(payload: dict):
-    for key, value in payload.items():
-        if isinstance(value, list) and value and isinstance(value[0], list):
-            for i, row in enumerate(value):
-                for j, v in enumerate(row):
-                    yield f"{key}_{i}_{j}", v
-        elif isinstance(value, list):
-            for i, v in enumerate(value):
-                yield f"{key}_{i}", v
-        elif isinstance(value, dict):
-            for k, v in value.items():
-                yield f"{key}_{k}", v
-        else:
-            yield key, value
+def _flat_items(value, key: str = ""):
+    """(key, value) rows of a report, its nested keys and indices joined by _."""
+    if not isinstance(value, (dict, list)):
+        yield key, value
+        return
+    for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+        yield from _flat_items(v, f"{key}_{k}" if key else str(k))
 
 
 def emit(report, out: str) -> None:
@@ -213,27 +206,26 @@ def parse_targets(text: str) -> list[TargetSpec]:
         except (ValueError, IndexError) as exc:
             raise ValueError(
                 f"bad target {part!r}; use mean:<col> or quant:<col>:<q>") from exc
-    if not targets:
-        raise ValueError("no targets given")
     return targets
 
 
 def run_chain_command(args) -> int:
-    """estimate, ess, stopcheck and simci: flags, then targets, then the chain
-    file are checked in that order; args.report builds the report and exit code."""
+    """estimate, ess, stopcheck and simci: the estimator's flags, then the
+    command's own settings (args.settings builds them), then the chain file are
+    checked in that order; args.report builds the report and exit code."""
     estimator = make_estimator(args.method, b=args.b, lugsail=args.lugsail, r=args.r, c=args.c,
                                window=args.window)
-    targets = parse_targets(args.targets) if args.command == "simci" else None
+    settings = args.settings(args) if args.settings else None
     chain = load_chain(sniff_chain_file(args.file, args.columns))
     meta = {k: v for k, v in asdict(estimator).items() if v is not None and k not in ("b", "batch_rule")}
     # an overflow shows as a non-finite estimate, which LrvEstimate refuses (exit 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        report, code = args.report(args, chain, estimator, meta, targets)
+        report, code = args.report(args, chain, estimator, meta, settings)
     emit(report, args.out)
     return code
 
 
-def _estimate_report(args, chain, estimator, meta, targets):
+def _estimate_report(args, chain, estimator, meta, settings):
     t0 = time.perf_counter()
     estimate = estimator(chain)
     errors = mcse(estimate, chain.n)
@@ -259,13 +251,12 @@ def _estimate_report(args, chain, estimator, meta, targets):
     }, EXIT_OK
 
 
-def _ess_report(args, chain, estimator, meta, targets):
+def _ess_report(args, chain, estimator, meta, settings):
     value = ess(chain, estimator(chain))
     return {"method": meta, "n": chain.n, "p": chain.p, "ess": value, "ess_per_n": value / chain.n}, EXIT_OK
 
 
-def _stopcheck_report(args, chain, estimator, meta, targets):
-    config = StoppingConfig(alpha=args.alpha, epsilon=args.eps, n_star=args.nstar)
+def _stopcheck_report(args, chain, estimator, meta, config):
     decision = fixed_volume_check(chain, estimator(chain), config)
     return {
         "method": meta,
@@ -332,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mcvar", description="MCMC long-run variance estimation and output analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def chain_command(name, help, report):
+    def chain_command(name, help, report, settings=None):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run_chain_command, report=report, out="json")
+        p.set_defaults(run=run_chain_command, report=report, settings=settings, out="json")
         p.add_argument("file")
         p.add_argument("--columns", default=None, help="comma-separated column indices to keep")
         p.add_argument("--method", choices=METHODS, default="bm")
@@ -357,12 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--eps", type=float, default=0.05)
     p_min.add_argument("--p", type=int, default=1)
 
-    p_stop = chain_command("stopcheck", "evaluate the relative fixed-volume stopping rule", _stopcheck_report)
+    p_stop = chain_command("stopcheck", "evaluate the relative fixed-volume stopping rule", _stopcheck_report,
+                           lambda args: StoppingConfig(alpha=args.alpha, epsilon=args.eps, n_star=args.nstar))
     p_stop.add_argument("--alpha", type=float, default=0.05)
     p_stop.add_argument("--eps", type=float, default=0.05)
     p_stop.add_argument("--nstar", type=int, default=None)
 
-    p_sim = chain_command("simci", "simultaneous confidence intervals for means and quantiles", _simci_report)
+    p_sim = chain_command("simci", "simultaneous confidence intervals for means and quantiles", _simci_report,
+                          lambda args: parse_targets(args.targets))
     p_sim.add_argument("--targets", required=True,
                        help='e.g. "mean:0,quant:0:0.1,quant:0:0.9"')
     p_sim.add_argument("--alpha", type=float, default=0.05)

@@ -31,8 +31,8 @@ class StoppingConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.n_star is not None and self.n_star < 1:
             raise ValueError(f"n_star must be >= 1, got {self.n_star}")
 
@@ -75,23 +75,19 @@ def chi2_quantile(prob: float, df: int) -> float:
     return float(2.0 * gammaincinv(df / 2.0, prob))
 
 
-def _log_unit_ball(p: int) -> float:
-    """Log-volume of the unit ball in R^p: log(2 pi^(p/2) / (p Gamma(p/2)))."""
+def _log_radius(p: int, alpha: float) -> float:
+    """Log of the p-th root of the volume of the chi2(1-alpha, p) ball in R^p."""
     from scipy.special import gammaln
 
-    return math.log(2.0) + (p / 2.0) * math.log(math.pi) - math.log(p) - gammaln(p / 2.0)
-
-
-def _volume(logdet: float, p: int, n: int, alpha: float) -> float:
-    """Confidence ellipsoid volume from the estimate's log-determinant."""
-    chi2 = chi2_quantile(1.0 - alpha, p)
-    return math.exp(_log_unit_ball(p) + (p / 2.0) * (math.log(chi2) - math.log(n)) + 0.5 * logdet)
+    log_ball = math.log(2.0) + (p / 2.0) * math.log(math.pi) - math.log(p) - gammaln(p / 2.0)
+    return log_ball / p + 0.5 * math.log(chi2_quantile(1.0 - alpha, p))
 
 
 def region_volume(sigma: LrvEstimate | np.ndarray, n: int, alpha: float) -> float:
     """Volume of the 100(1-alpha)% confidence ellipsoid for the mean vector."""
     m = matrix_of(sigma)
-    return _volume(pd_logdet(m, "the long-run variance estimate")[0], m.shape[0], n, alpha)
+    p, logdet = m.shape[0], pd_logdet(m, "the long-run variance estimate")[0]
+    return math.exp(p * (_log_radius(p, alpha) - 0.5 * math.log(n)) + 0.5 * logdet)
 
 
 def region_contains(theta0, theta_bar, sigma: LrvEstimate | np.ndarray, n: int, alpha: float) -> bool:
@@ -130,12 +126,14 @@ def min_ess(alpha: float, epsilon: float, p: int) -> int:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
-    chi2 = chi2_quantile(1.0 - alpha, p)
-    return int(round(math.exp((2.0 / p) * _log_unit_ball(p) + math.log(chi2) - 2.0 * math.log(epsilon))))
+    try:
+        return int(round(math.exp(2.0 * (_log_radius(p, alpha) - math.log(epsilon)))))
+    except OverflowError:
+        raise ValueError(f"epsilon {epsilon} needs a minimum ESS beyond the float range") from None
 
 
 def fixed_volume_check(chain: SampleMatrix, sigma: LrvEstimate | np.ndarray,
@@ -150,7 +148,7 @@ def fixed_volume_check(chain: SampleMatrix, sigma: LrvEstimate | np.ndarray,
     threshold = min_ess(config.alpha, config.epsilon, p)
     n_star = config.n_star if config.n_star is not None else threshold
     logdet_sigma, logdet_lambda, ess_n = _ess_terms(chain, sigma)
-    lhs = _volume(logdet_sigma, p, n, config.alpha) ** (1.0 / p) + 1.0 / n
+    lhs = math.exp(_log_radius(p, config.alpha) + 0.5 * (logdet_sigma / p - math.log(n))) + 1.0 / n
     rhs = config.epsilon * math.exp(logdet_lambda / (2.0 * p))
     return StoppingDecision(
         terminate=bool(n > n_star and lhs < rhs),

@@ -17,7 +17,8 @@ class NotPositiveDefinite(ArithmeticError):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    # halve before adding, so a finite matrix stays finite; the bits of 0.5 * (m + m.T) on normal entries
+    return 0.5 * m + 0.5 * m.T
 
 
 def chol_logdet(m: np.ndarray) -> tuple[bool, float, np.ndarray | None]:

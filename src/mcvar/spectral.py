@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import SampleMatrix
-from .lrv import LrvEstimate, LugsailConfig, symmetrize
+from .lrv import LrvEstimate, LugsailConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +140,8 @@ def spectral_variance(chain: SampleMatrix, window: LagWindow, b: int) -> LrvEsti
     _check_truncation(n, b)
     spec, nfft = chain._spectrum  # G transposed: one row per component
     weights = _weight_spectrum(window, b, n, nfft)
-    # Fold the one-sided spectrum: interior bins count twice, DC and Nyquist once.
+    # Fold the one-sided spectrum (interior bins twice, DC and Nyquist once) and
+    # 1/(n nfft) into the weights, so the sum overflows only where the estimate does.
     fold = np.full(spec.shape[1], 2.0)
     fold[0] = 1.0
     if nfft % 2 == 0:
@@ -148,13 +149,12 @@ def spectral_variance(chain: SampleMatrix, window: LagWindow, b: int) -> LrvEsti
     # Re(G* diag(w) G) in real arithmetic: on the view of each row as
     # [Re, Im, Re, Im, ...] it is R diag(w, w) R^T.  Blocks keep temporaries
     # small, and products this thin ran faster on one BLAS thread than two.
-    real, fw = spec.view(np.float64), np.repeat(fold * weights, 2)
+    real, fw = spec.view(np.float64), np.repeat(fold * weights / (n * nfft), 2)
     acc = np.zeros((chain.p, chain.p))
     for lo in range(0, real.shape[1], _GRAM_BLOCK):
         block = real[:, lo:lo + _GRAM_BLOCK]
         acc += (block * fw[lo:lo + _GRAM_BLOCK]) @ block.T
-    m = symmetrize(acc) / (n * nfft)
-    return LrvEstimate(m, family="sv", b=b, window=window.name)
+    return LrvEstimate(acc, family="sv", b=b, window=window.name)
 
 
 def lugsail_spectral_variance(chain: SampleMatrix, base: LagWindow, b: int,

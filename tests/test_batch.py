@@ -15,6 +15,7 @@ from mcvar import (
     batch_means,
     bm_exact_bias_ar1,
     default_batch_size,
+    initial_sequence,
     lag1_autocorrelation,
     lugsail_batch_means,
     lugsail_combine,
@@ -108,6 +109,11 @@ class TestLugsailCombine:
         s = SampleMatrix(rng.standard_normal((20, 1)))
         with pytest.raises(ValueError, match="families"):
             lugsail_combine(batch_means(s, 4), overlapping_batch_means(s, 2), 0.5)
+
+    def test_estimates_without_batch_sizes_rejected(self, rng):
+        s = SampleMatrix(rng.standard_normal((20, 1)))
+        with pytest.raises(ValueError, match="needs the batch sizes of both estimates"):
+            lugsail_combine(initial_sequence(s), initial_sequence(s), 0.5)
 
     def test_zero_lugsail_arithmetic_identity(self, rng):
         for _ in range(5):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from mcvar.cli import (
     EXIT_CONTINUE,
@@ -501,6 +502,35 @@ class TestExitCodePartition:
         out = capsys.readouterr()
         assert code == EXIT_NUMERICAL
         assert "numerical" in out.err
+
+
+# Chain commands whose exit code, ESS, decision and z* must not depend on the
+# chain's units, scaled as far as 10^+-150, on the chain of
+# tests/test_cli_golden.py: 2000 x 3 AR(1, phi=0.9), seed 2024.
+SCALED_COMMANDS = [
+    *[["estimate", "--method", m] for m in ("bm", "obm", "sv", "initseq", "initseq-adj")],
+    *[["ess", "--method", m] for m in ("bm", "sv", "initseq")],
+    ["stopcheck", "--lugsail", "over"],
+    ["stopcheck", "--method", "sv"],
+    ["simci", "--targets", "mean:0,quant:1:0.1"],
+]
+
+
+@pytest.mark.parametrize("k", [-150, -75, 75, 150])
+def test_units_of_the_whole_chain_change_no_answer(capsys, tmp_path, k):
+    eps = np.random.default_rng(2024).standard_normal((2000, 3))
+    values = lfilter([1.0], [1.0, -0.9], eps, axis=0, zi=np.zeros((1, 3)))[0]
+    for name, scale in (("unscaled.csv", 1.0), ("scaled.csv", 10.0**k)):
+        np.savetxt(tmp_path / name, values * scale, delimiter=",")
+    for command, *flags in SCALED_COMMANDS:
+        (want_code, want, _), (code, got, err) = (run(capsys, command, str(tmp_path / name), *flags)
+                                                  for name in ("unscaled.csv", "scaled.csv"))
+        assert code == want_code, (command, flags, err)
+        want, got = json.loads(want), json.loads(got)
+        assert got.get("terminate") == want.get("terminate")
+        for key in ("ess", "z_star"):
+            if key in want:
+                assert got[key] == pytest.approx(want[key], rel=1e-10), (command, flags, key)
 
 
 # Fields of a fuzzed text file: numbers, non-finite and overflowing tokens,

@@ -42,6 +42,7 @@ BAD_INPUTS = ("{non-utf8.csv}", "{header-only.csv}", "{pickled.npy}", "{3d.npy}"
 TEXT_INPUTS = ("{bom.csv}", "{blank-first.csv}", "{blank-header.csv}", "{blank-only.csv}", "{blank-rows.csv}")
 SHORT = "{short.csv}"  # 3 rows: too short for every estimator's defaults (exit 3)
 HUGE = "{huge.csv}"  # the chain's signs times 1e200: every estimate overflows (exit 4)
+E150 = "{e150.csv}"  # the chain times 1e150: every answer as for the chain
 CONST = "{const.csv}"  # the chain with column 1 set to 0.1: no ESS (exit 4)
 MISSING = "{missing.csv}"  # never written
 REGIMES = ("none", "zero", "adaptive", "over")
@@ -110,6 +111,18 @@ COMMANDS = [
     *[["ess", CONST, "--method", m] for m in ("bm", "sv", "initseq")],
     ["estimate", MISSING, "--b", "0"],
     ["estimate", CHAIN, "--method", "sv", "--window", "TUKEY_HANNING"],
+    # a command's own flags and the column selection are checked before the
+    # chain file is read (exit 3); epsilon must be positive and finite, and
+    # its minimum ESS must fit in a float (exit 3)
+    ["stopcheck", MISSING, "--alpha", "2"],
+    ["estimate", MISSING, "--columns", "x"],
+    ["miness", "--eps", "nan"],
+    ["miness", "--eps", "1e-300"],
+    ["stopcheck", CHAIN, "--eps", "inf"],
+    # units: sv overflows no earlier than bm, and the stopping rule takes the
+    # p-th root of the volume before it exponentiates
+    ["estimate", E150, "--method", "sv"],
+    ["stopcheck", E150, "--lugsail", "over"],
 ]
 
 
@@ -118,7 +131,7 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     eps = np.random.default_rng(2024).standard_normal((2000, 3))
     values, _ = lfilter([1.0], [1.0, -0.9], eps, axis=0, zi=np.zeros((1, 3)))
     paths = {key: str(directory / key.strip("{}"))
-             for key in (CHAIN, NPY, SHORT, HUGE, CONST, MISSING, *BAD_INPUTS, *TEXT_INPUTS)}
+             for key in (CHAIN, NPY, SHORT, HUGE, E150, CONST, MISSING, *BAD_INPUTS, *TEXT_INPUTS)}
     paths[CHAIN] += ".csv"
     np.savetxt(paths[CHAIN], values, delimiter=",")
     np.save(paths[NPY], values)
@@ -140,6 +153,7 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
     pathlib.Path(paths["{blank-rows.csv}"]).write_bytes(b"".join([rows[0], b" \t\n", *rows[1:], b"  \n\n \n"]))
     np.savetxt(paths[SHORT], values[:3], delimiter=",")
     np.savetxt(paths[HUGE], np.sign(values) * 1e200, delimiter=",")
+    np.savetxt(paths[E150], values * 1e150, delimiter=",")
     constant = values.copy()
     constant[:, 1] = 0.1
     np.savetxt(paths[CONST], constant, delimiter=",")

@@ -22,7 +22,7 @@ from mcvar import (
     sample_covariance,
 )
 from mcvar.experiments import make_estimator
-from mcvar.lrv import chol_logdet
+from mcvar.lrv import chol_logdet, matrix_of
 
 from conftest import ar1_chains
 
@@ -168,7 +168,7 @@ class TestMinEss:
         assert abs(min_ess(alpha, eps, p) - want) <= 1
 
     def test_decreasing_in_epsilon(self):
-        values = [min_ess(0.05, eps, 2) for eps in (0.02, 0.05, 0.1, 0.2)]
+        values = [min_ess(0.05, eps, 2) for eps in (1e-150, 0.02, 0.05, 0.1, 0.2)]
         assert values == sorted(values, reverse=True)
 
     def test_increasing_in_dimension_on_low_grid(self):
@@ -225,14 +225,14 @@ class TestFixedVolumeCheck:
         decision = fixed_volume_check(chain, np.array([[1.0]]), StoppingConfig(n_star=100))
         assert decision.ess == pytest.approx(10_000.0, rel=1e-9)
         assert decision.min_ess == 6146
-        # the decision's ESS and volume are exactly what the public functions give
+        # the decision's ESS is exactly, and its volume to rounding, what the public functions give
         rng = np.random.default_rng(4)
         for chain, sigma in ((chain, np.array([[1.0]])),
                              (SampleMatrix(rng.standard_normal((500, 3))), np.diag([2.0, 1.0, 0.5]) + 0.1)):
             n, p = chain.n, chain.p
             decision = fixed_volume_check(chain, sigma, StoppingConfig(alpha=0.1, n_star=100))
             assert decision.ess == ess(chain, sigma)
-            assert decision.lhs == region_volume(sigma, n, 0.1) ** (1 / p) + 1 / n
+            assert decision.lhs == pytest.approx(region_volume(sigma, n, 0.1) ** (1 / p) + 1 / n, rel=1e-14)
 
     def test_non_pd_sigma_is_a_numerical_error(self):
         chain = SampleMatrix(np.random.default_rng(0).standard_normal((50, 2)))
@@ -273,10 +273,49 @@ class TestLrvEstimateFlag:
         with pytest.raises(NotPositiveDefinite):
             mcse(est, 100)
 
+    def test_finite_estimate_stays_finite_when_symmetrized(self):
+        # sv's estimate of the golden chain times 1e153 has a diagonal entry
+        # above half the float range; it used to be stored as inf
+        m = np.array([[7.3e307, -4.9e306], [-4.9e306, 1.1e308]])
+        assert np.array_equal(LrvEstimate(m, family="sv", b=44).matrix, m)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_estimate_is_refused(self, bad):
         with pytest.raises(NotPositiveDefinite, match="the sv estimate is not finite"):
             LrvEstimate(np.array([[1.0, 0.0], [0.0, bad]]), family="sv", b=4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: StoppingConfig(alpha=1.0), "alpha must lie in"),
+    (lambda: StoppingConfig(epsilon=0.0), "epsilon must be positive"),
+    (lambda: StoppingConfig(epsilon=math.nan), "epsilon must be positive"),
+    (lambda: StoppingConfig(epsilon=math.inf), "epsilon must be positive"),
+    (lambda: StoppingConfig(n_star=0), "n_star must be >= 1"),
+    (lambda: min_ess(0.0, 0.05, 1), "alpha must lie in"),
+    (lambda: min_ess(0.05, -1.0, 1), "epsilon must be positive"),
+    (lambda: min_ess(0.05, math.nan, 1), "epsilon must be positive"),
+    (lambda: min_ess(0.05, math.inf, 1), "epsilon must be positive"),
+    (lambda: min_ess(0.05, 0.05, 0), "dimension must be >= 1"),
+    (lambda: min_ess(0.05, 1e-300, 1), "epsilon 1e-300 needs a minimum ESS beyond the float range"),
+    (lambda: mcse(np.eye(2), 0), "n must be >= 1"),
+    (lambda: LrvEstimate(np.ones((2, 3)), family="bm"), "estimate must be square"),
+    (lambda: matrix_of(np.ones((2, 3))), "expected a square matrix"),
+])
+def test_out_of_range_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_pivot_small_against_its_own_variance_is_not_positive_definite():
+    # both factorizations succeed; the second squared pivot is 2e-12 of its
+    # variance in the first, below REL_TOL, and 2e-9 in the second
+    for rho, pd in ((1 - 1e-12, False), (1 - 1e-9, True)):
+        for scale in (1.0, 1e-6, 1e6):
+            d = np.array([1.0, scale])
+            m = np.array([[1.0, rho], [rho, 1.0]]) * np.outer(d, d)
+            np.linalg.cholesky(m)  # succeeds
+            assert chol_logdet(m)[0] is pd
+    assert chol_logdet(np.array([[1.0, 1 - 1e-12], [1 - 1e-12, 1.0]])) == (False, -np.inf, None)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -52,6 +52,14 @@ class TestTargetSpec:
         with pytest.raises(ValueError):
             TargetSpec("mean", 0, q=0.5)
 
+    @pytest.mark.parametrize("kind, component, message", [
+        ("median", 0, "target kind must be 'mean' or 'quantile'"),
+        ("mean", -1, "component index must be non-negative"),
+    ])
+    def test_kind_and_component_are_checked(self, kind, component, message):
+        with pytest.raises(ValueError, match=message):
+            TargetSpec(kind, component)
+
     def test_labels(self):
         assert TargetSpec("mean", 2).label() == "mean[2]"
         assert TargetSpec("quantile", 0, 0.9).label() == "q0.9[0]"
@@ -71,6 +79,11 @@ class TestQuantileEstimate:
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):
             quantile_estimate([], 0.5)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, math.nan])
+    def test_probability_outside_the_unit_interval(self, q):
+        with pytest.raises(ValueError, match=r"quantile probability must lie in \(0, 1\)"):
+            quantile_estimate([3.0, 1.0, 2.0], q)
 
     def test_returns_an_actual_sample_value(self, rng):
         v = rng.standard_normal(10_001)
@@ -225,6 +238,13 @@ class TestMvnRectProb:
         with pytest.raises(NotPositiveDefinite, match="covariance is not positive definite"):
             mvn_rect_prob([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]), [[-1, 1], [-1, 1]])
 
+    def test_rejects_bad_tolerance_and_inverted_bounds(self):
+        for tol in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                mvn_rect_prob([0.0], np.eye(1), [[-1.0, 1.0]], tol=tol)
+        with pytest.raises(ValueError, match="rectangle has inverted bounds"):
+            mvn_rect_prob([0.0, 0.0], np.eye(2), [[-1.0, 1.0], [1.0, -1.0]])
+
     def test_integrates_a_component_of_tiny_variance(self):
         # positive definiteness is judged per component, not against the
         # largest variance
@@ -351,3 +371,9 @@ class TestSolveZStar:
         joint = JointEstimate(nu_hat=np.zeros(2), omega=np.array([[1.0, 0.0], [0.0, -1.0]]), n=100)
         with pytest.raises(NotPositiveDefinite):
             solve_z_star(joint, 0.05)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        joint = JointEstimate(nu_hat=np.zeros(2), omega=np.eye(2), n=100)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            solve_z_star(joint, alpha)

@@ -172,6 +172,8 @@ def test_named_regime_rejects_other_parameters():
     # new: a regime name that contradicts its (r, c) is refused
     with pytest.raises(ValueError):
         LugsailConfig(r=2, c=0.5, regime="none")
+    with pytest.raises(ValueError, match="unknown lugsail regime 'bogus'"):
+        LugsailConfig(2.0, 0.5, regime="bogus")
 
 
 def test_cli_adjusted_initial_sequence(capsys, tmp_path):
