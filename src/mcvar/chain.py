@@ -199,3 +199,7 @@ def lag_covariances_fft(chain: SampleMatrix, kmax: int) -> list[LagCovariance]:
     _check_lag(chain, kmax)
     block = _lag_cov_block(chain, kmax)
     return [LagCovariance(k, block[k]) for k in range(kmax + 1)]
+
+
+__all__ = ["LagCovariance", "SampleMatrix", "lag_covariance", "lag_covariances_fft", "mean_vector",
+           "sample_covariance"]

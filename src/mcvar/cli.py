@@ -37,7 +37,8 @@ from .experiments import (
     timing_bench,
 )
 from .lrv import REGIMES
-from .quantiles import TargetSpec, estimate_omega, solve_z_star
+from .quantiles import TargetSpec, _check_z_star_settings, estimate_omega, solve_z_star
+from .spectral import WINDOWS
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -76,7 +77,7 @@ def sniff_chain_file(path: str, columns: str | None = None) -> ChainFile:
     the delimiter and header of UTF-8 CSV/TSV text (an optional byte-order
     mark is dropped) from its first non-blank line."""
     cols = None
-    if columns:
+    if columns is not None:
         try:
             cols = tuple(int(c) for c in columns.split(","))
         except ValueError as exc:
@@ -270,6 +271,11 @@ def _stopcheck_report(args, chain, estimator, meta, config):
     }, EXIT_OK if decision.terminate else EXIT_CONTINUE
 
 
+def _simci_settings(args) -> list[TargetSpec]:
+    _check_z_star_settings(args.alpha, args.seed)
+    return parse_targets(args.targets)
+
+
 def _simci_report(args, chain, estimator, meta, targets):
     joint = estimate_omega(chain, targets, estimator)
     region = solve_z_star(joint, args.alpha, seed=args.seed)
@@ -329,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file")
         p.add_argument("--columns", default=None, help="comma-separated column indices to keep")
         p.add_argument("--method", choices=METHODS, default="bm")
-        p.add_argument("--window", default=None,
-                       help="lag window for --method sv (bartlett, bartlett-flattop, tukey-hanning, quadratic-spectral)")
+        p.add_argument("--window", default=None, help=f"lag window for --method sv ({', '.join(WINDOWS)})")
         p.add_argument("--lugsail", choices=[*REGIMES, "custom"], default="none")
         p.add_argument("--r", type=float, default=None, help="lugsail ratio (only with --lugsail custom)")
         p.add_argument("--c", type=float, default=None, help="lugsail weight (only with --lugsail custom)")
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stop.add_argument("--nstar", type=int, default=None)
 
     p_sim = chain_command("simci", "simultaneous confidence intervals for means and quantiles", _simci_report,
-                          lambda args: parse_targets(args.targets))
+                          _simci_settings)
     p_sim.add_argument("--targets", required=True,
                        help='e.g. "mean:0,quant:0:0.1,quant:0:0.9"')
     p_sim.add_argument("--alpha", type=float, default=0.05)

@@ -45,7 +45,7 @@ def pd_logdet(m: np.ndarray, what: str) -> tuple[float, np.ndarray]:
     """chol_logdet's (logdet, factor), or NotPositiveDefinite naming the matrix as what."""
     pd, logdet, factor = chol_logdet(m)
     if not pd:
-        raise NotPositiveDefinite(f"{what} is not positive definite")
+        raise NotPositiveDefinite(f"{what} is not {'positive definite' if np.isfinite(m).all() else 'finite'}")
     return logdet, factor
 
 
@@ -181,3 +181,6 @@ def matrix_of(sigma: LrvEstimate | np.ndarray) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+__all__ = ["LrvEstimate", "LugsailConfig", "NotPositiveDefinite", "adaptive_c"]

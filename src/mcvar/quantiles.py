@@ -264,6 +264,14 @@ def mvn_rect_prob(center, covariance, rect, tol: float = 1e-3, seed=0) -> float:
         ss = np.random.SeedSequence(seed, spawn_key=(log2_points,))
 
 
+def _check_z_star_settings(alpha: float, seed) -> None:
+    """solve_z_star's refusals of its settings, which can be checked before any chain is read."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def solve_z_star(joint: JointEstimate, alpha: float, seed=0) -> SimultaneousRegion:
     """Common half-width multiplier giving joint coverage 1 - alpha.
 
@@ -279,8 +287,7 @@ def solve_z_star(joint: JointEstimate, alpha: float, seed=0) -> SimultaneousRegi
     which coincide when p = 1.  The bisection stops once the bracket is
     narrower than 1e-3 and returns its midpoint.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_z_star_settings(alpha, seed)
     omega = joint.omega
     pd_logdet(omega, "joint covariance omega")
     from scipy.special import ndtri

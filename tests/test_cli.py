@@ -377,6 +377,11 @@ class TestSimciCommand:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("flags", [("--alpha", "0"), ("--seed", "-1")])
+    def test_flags_are_checked_before_the_file_is_read(self, capsys, tmp_path, flags):
+        code, _, err = run(capsys, "simci", str(tmp_path / "missing.csv"), "--targets", "mean:0", *flags)
+        assert code == EXIT_USAGE and err.startswith("mcvar: usage error: ")
+
     def test_parse_targets(self):
         specs = parse_targets("mean:1,quant:0:0.25")
         assert specs[0].kind == "mean" and specs[0].component == 1
@@ -531,6 +536,19 @@ def test_units_of_the_whole_chain_change_no_answer(capsys, tmp_path, k):
         for key in ("ess", "z_star"):
             if key in want:
                 assert got[key] == pytest.approx(want[key], rel=1e-10), (command, flags, key)
+
+
+def test_an_overflowing_sample_covariance_is_named_not_finite(capsys, tmp_path):
+    # times 1e153 the golden chain's sv estimate is finite, but the sample
+    # covariance that ESS and the stopping rule divide by overflows
+    eps = np.random.default_rng(2024).standard_normal((2000, 3))
+    values = lfilter([1.0], [1.0, -0.9], eps, axis=0, zi=np.zeros((1, 3)))[0]
+    path = tmp_path / "e153.csv"
+    np.savetxt(path, values * 1e153, delimiter=",")
+    for command in ("ess", "stopcheck"):
+        code, out, err = run(capsys, command, str(path), "--method", "sv")
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.splitlines() == ["mcvar: numerical error: the sample covariance is not finite"]
 
 
 # Fields of a fuzzed text file: numbers, non-finite and overflowing tokens,

@@ -123,6 +123,13 @@ COMMANDS = [
     # p-th root of the volume before it exponentiates
     ["estimate", E150, "--method", "sv"],
     ["stopcheck", E150, "--lugsail", "over"],
+    # simci's own flags are checked before the chain file is read, and a
+    # negative seed is refused whether or not a QMC point is drawn; an empty
+    # column selection is unparsable, not all columns (exit 3)
+    ["simci", MISSING, "--targets", "mean:0", "--alpha", "0"],
+    ["simci", CHAIN, "--targets", "mean:0", "--seed", "-1"],
+    ["simci", CHAIN, "--targets", "mean:0,mean:1", "--seed", "-1"],
+    ["estimate", CHAIN, "--columns", ""],
 ]
 
 

@@ -22,7 +22,7 @@ from mcvar import (
     sample_covariance,
 )
 from mcvar.experiments import make_estimator
-from mcvar.lrv import chol_logdet, matrix_of
+from mcvar.lrv import chol_logdet, matrix_of, pd_logdet
 
 from conftest import ar1_chains
 
@@ -323,3 +323,10 @@ def test_non_finite_matrix_is_not_positive_definite(bad):
     for m in (np.array([[bad]]), np.array([[1.0, bad], [bad, 4.0]])):
         assert chol_logdet(m) == (False, -np.inf, None)
     assert chol_logdet(np.array([[4.0]]))[:2] == (True, pytest.approx(np.log(4.0)))
+
+
+def test_pd_logdet_names_an_overflow_as_not_finite():
+    with pytest.raises(NotPositiveDefinite, match="^the matrix is not finite$"):
+        pd_logdet(np.array([[1.0, np.inf], [np.inf, 4.0]]), "the matrix")
+    with pytest.raises(NotPositiveDefinite, match="^the matrix is not positive definite$"):
+        pd_logdet(np.array([[1.0, 2.0], [2.0, 1.0]]), "the matrix")

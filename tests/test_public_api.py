@@ -44,6 +44,25 @@ def test_package_all_resolves():
     assert len(set(mcvar.__all__)) == len(mcvar.__all__)
 
 
+# The layers whose __all__ mcvar re-exports; the rest of the package exports nothing.
+LAYERS = ("chain", "lrv", "batch", "spectral", "initseq", "diagnostics", "quantiles")
+
+
+def test_package_all_is_the_layers_all():
+    """Each name is public in one list, its layer's __all__; no two layers
+    export one name, so no star import in mcvar shadows another's."""
+    assert set(LAYERS) == set(SUBMODULES) - {"_main", "cli", "experiments"}
+    layers = [importlib.import_module(f"mcvar.{name}") for name in LAYERS]
+    listed = [name for module in layers for name in module.__all__]
+    assert len(set(listed)) == len(listed)
+    assert sorted(mcvar.__all__) == sorted(listed)
+    for module in layers:
+        for name in module.__all__:
+            assert getattr(mcvar, name) is getattr(module, name)
+    homes = {getattr(getattr(mcvar, name), "__module__", None) for name in mcvar.__all__}
+    assert not homes & {"mcvar.cli", "mcvar.experiments"}
+
+
 # perfbench's tracer rebinds module attributes of mcvar.cli and reads its
 # parse and emit times from spans with these names.
 TRACED_CLI = ("parse_targets", "sniff_chain_file", "load_chain", "emit_json")

@@ -377,3 +377,10 @@ class TestSolveZStar:
         joint = JointEstimate(nu_hat=np.zeros(2), omega=np.eye(2), n=100)
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             solve_z_star(joint, alpha)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_rejects_a_negative_seed_at_every_dimension(self, p):
+        # p = 1 draws no QMC point, so numpy would never see the seed
+        joint = JointEstimate(nu_hat=np.zeros(p), omega=np.eye(p), n=100)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            solve_z_star(joint, 0.05, seed=-1)
